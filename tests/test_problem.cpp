@@ -15,6 +15,8 @@
 //  (c) The unified SolveOutcome: status semantics, the block solver's
 //      pinned-scan downgrade surfaced in scan_executed / the report, and
 //      the thread-safety contract (concurrent solve() on distinct x).
+//  (d) Outcome pinning: every deterministic SolveOutcome field of every
+//      asynchronous solve path, under every storage, sync and scan mode.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -458,6 +460,219 @@ TEST(PreparedSpd, BorrowedPreconditionerStaysVariable) {
   pc.apply(r, z2);
   EXPECT_NE(z1, z2);  // fresh random directions per application
   EXPECT_EQ(problem.stats().solves, solves_before + 2);
+}
+
+// --- (d) outcome pinning across every asynchronous solve path -----------------
+//
+// Every SolveOutcome field that does not depend on timing or rounding is
+// pinned for each asynchronous path (single-RHS, partitioned, block at k = 2
+// and k = 8, least-squares coordinate descent, Kaczmarz) under every storage
+// mode, sync mode, scan mode, valid sampling policy and two tolerance
+// regimes.  The expected descriptions are spelled out literally, so any
+// refactor of the solve paths that changes a reported field fails here.
+
+enum class PinPath { kSingle, kPartitioned, kBlock2, kBlock8, kLsq, kKaczmarz };
+
+constexpr int kPinSweeps = 3;
+constexpr int kPinWorkers = 2;
+
+const char* pin_sync_name(SyncMode sync) {
+  switch (sync) {
+    case SyncMode::kFreeRunning:
+      return "free running";
+    case SyncMode::kBarrierPerSweep:
+      return "barrier per sweep";
+    case SyncMode::kTimedBarrier:
+      return "timed barrier";
+  }
+  return "?";
+}
+
+const char* pin_sampling_note(SamplingPolicy sampling) {
+  switch (sampling) {
+    case SamplingPolicy::kUniform:
+      return "";
+    case SamplingPolicy::kWeighted:
+      return ", weighted sampling";
+    case SamplingPolicy::kResidual:
+      return ", residual sampling (refresh every 3 rendezvous)";
+  }
+  return "?";
+}
+
+/// Storage the kernels run against for a requested mode on the (small) test
+/// shapes, which always fit int32 — so kAuto narrows.
+StoragePolicy pin_storage(StorageMode mode) {
+  switch (mode) {
+    case StorageMode::kAuto:
+    case StorageMode::kInt32Double:
+      return StoragePolicy::kInt32Double;
+    case StorageMode::kInt32Mixed:
+      return StoragePolicy::kInt32Mixed;
+    case StorageMode::kInt64Double:
+      return StoragePolicy::kInt64Double;
+  }
+  return StoragePolicy::kInt64Double;
+}
+
+const char* pin_storage_note(StoragePolicy policy) {
+  switch (policy) {
+    case StoragePolicy::kInt64Double:
+      return "";
+    case StoragePolicy::kInt32Double:
+      return ", int32_double storage";
+    case StoragePolicy::kInt32Mixed:
+      return ", int32_mixed storage";
+  }
+  return "?";
+}
+
+TEST(OutcomePinning, EveryAsyncPathUnderEveryStorageAndSyncMode) {
+  ThreadPool pool(kPinWorkers);
+  const CsrMatrix spd = laplacian_2d(8, 8);     // n = 64
+  const CsrMatrix tall = tall_matrix(96, 40, 29);  // m = 96, n = 40
+  const std::vector<double> b_spd = random_vector(spd.rows(), 51);
+  const std::vector<double> b_lsq = random_vector(tall.rows(), 53);
+
+  int cases = 0;
+  for (StorageMode mode : {StorageMode::kAuto, StorageMode::kInt64Double,
+                           StorageMode::kInt32Double, StorageMode::kInt32Mixed}) {
+    SpdProblem spd_problem(pool, spd, /*check_input=*/true, mode);
+    LsqProblem lsq_problem(pool, tall, mode);
+    const StoragePolicy storage = pin_storage(mode);
+    for (PinPath path : {PinPath::kSingle, PinPath::kPartitioned,
+                         PinPath::kBlock2, PinPath::kBlock8, PinPath::kLsq,
+                         PinPath::kKaczmarz}) {
+      for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep,
+                            SyncMode::kTimedBarrier}) {
+        for (SamplingPolicy sampling :
+             {SamplingPolicy::kUniform, SamplingPolicy::kWeighted,
+              SamplingPolicy::kResidual}) {
+          const bool block =
+              path == PinPath::kBlock2 || path == PinPath::kBlock8;
+          if (path == PinPath::kPartitioned &&
+              sampling != SamplingPolicy::kUniform)
+            continue;
+          if (sampling == SamplingPolicy::kResidual &&
+              (block || sync == SyncMode::kFreeRunning))
+            continue;
+          for (ScanMode scan : {ScanMode::kPinned, ScanMode::kReassociated}) {
+            for (double rel_tol : {0.0, 1e-30}) {
+              SolveControls c;
+              c.sweeps = kPinSweeps;
+              c.seed = 7;
+              c.workers = kPinWorkers;
+              c.sync = sync;
+              c.scan = scan;
+              c.sampling = sampling;
+              c.resample_sweeps = 3;
+              c.sync_interval_seconds = 0.002;
+              c.rel_tol = rel_tol;
+              // kAuto would pick FCG for the unreachable tolerance on the
+              // SPD single-RHS paths; the other paths resolve kAuto to an
+              // asynchronous method themselves.
+              c.method = path == PinPath::kSingle ||
+                                 path == PinPath::kPartitioned
+                             ? SpdMethod::kAsyncRgs
+                         : path == PinPath::kKaczmarz
+                             ? SpdMethod::kAsyncKaczmarz
+                             : SpdMethod::kAuto;
+              if (path == PinPath::kPartitioned) {
+                c.partitions = 3;
+                c.steal_rate = 0.05;
+              }
+
+              SolveOutcome out;
+              index_t directions = 0;
+              std::string prefix;
+              std::string middle = pin_sampling_note(sampling);
+              ScanMode executed = scan;
+              switch (path) {
+                case PinPath::kSingle:
+                case PinPath::kPartitioned: {
+                  std::vector<double> x(spd.rows(), 0.0);
+                  out = spd_problem.solve(b_spd, x, c);
+                  directions = spd.rows();
+                  prefix = "AsyRGS, 2 threads, ";
+                  if (path == PinPath::kPartitioned)
+                    middle = ", 3 partitions (RCM, steal 0.05)";
+                  break;
+                }
+                case PinPath::kBlock2:
+                case PinPath::kBlock8: {
+                  const index_t k = path == PinPath::kBlock2 ? 2 : 8;
+                  const MultiVector b = random_multivector(spd.rows(), k, 55);
+                  MultiVector x(spd.rows(), k);
+                  out = spd_problem.solve(b, x, c);
+                  directions = spd.rows();
+                  prefix = "AsyRGS block, 2 threads, " + std::to_string(k) +
+                           " rhs, ";
+                  if (k > 4 && scan == ScanMode::kReassociated) {
+                    executed = ScanMode::kPinned;
+                    middle +=
+                        "; reassociated scan requested but blocks wider "
+                        "than 4 right-hand sides run the pinned "
+                        "column-parallel scan";
+                  }
+                  break;
+                }
+                case PinPath::kLsq:
+                case PinPath::kKaczmarz: {
+                  std::vector<double> x(static_cast<std::size_t>(tall.cols()),
+                                        0.0);
+                  out = lsq_problem.solve(b_lsq, x, c);
+                  const bool kaczmarz = path == PinPath::kKaczmarz;
+                  directions = kaczmarz ? tall.rows() : tall.cols();
+                  prefix = kaczmarz ? "AsyKaczmarz least squares, 2 threads, "
+                                    : "AsyRCD least squares, 2 threads, ";
+                  break;
+                }
+              }
+              ++cases;
+
+              const std::string label =
+                  "path=" + std::to_string(static_cast<int>(path)) +
+                  " storage=" + to_string(mode) +
+                  " sync=" + pin_sync_name(sync) +
+                  " sampling=" + std::to_string(static_cast<int>(sampling)) +
+                  " scan=" + std::to_string(static_cast<int>(scan)) +
+                  " rel_tol=" + std::to_string(rel_tol);
+              const SolveStatus status =
+                  rel_tol > 0.0 && sync != SyncMode::kFreeRunning
+                      ? SolveStatus::kToleranceNotReached
+                      : SolveStatus::kBudgetCompleted;
+              EXPECT_EQ(out.status, status) << label;
+              EXPECT_EQ(out.method_used, path == PinPath::kKaczmarz
+                                             ? SpdMethod::kAsyncKaczmarz
+                                             : SpdMethod::kAsyncRgs)
+                  << label;
+              EXPECT_EQ(out.iterations, kPinSweeps) << label;
+              EXPECT_EQ(out.updates,
+                        static_cast<long long>(kPinSweeps) * directions)
+                  << label;
+              EXPECT_EQ(out.workers, kPinWorkers) << label;
+              EXPECT_EQ(out.scan_requested, scan) << label;
+              EXPECT_EQ(out.scan_executed, executed) << label;
+              EXPECT_EQ(out.storage_used, storage) << label;
+              EXPECT_EQ(out.sampling_used, sampling) << label;
+              EXPECT_EQ(out.partitions_used,
+                        path == PinPath::kPartitioned ? 3 : 0)
+                  << label;
+              EXPECT_EQ(out.steal_rate_used,
+                        path == PinPath::kPartitioned ? 0.05 : 0.0)
+                  << label;
+              EXPECT_EQ(out.description, prefix + pin_sync_name(sync) +
+                                             middle + pin_storage_note(storage))
+                  << label;
+            }
+          }
+        }
+      }
+    }
+  }
+  // 4 storage modes x 2 scans x 2 tolerances x 39 (path, sync, sampling)
+  // combinations: the table above really ran, not an early-skipped loop.
+  EXPECT_EQ(cases, 4 * 2 * 2 * 39);
 }
 
 }  // namespace
