@@ -58,7 +58,7 @@ double run_residual(ThreadPool& pool, const CsrMatrix& a,
                     int workers) {
   std::vector<double> x(a.rows(), 0.0);
   if (use_rgs) {
-    AsyncRgsOptions opt;
+    SolveControls opt;
     opt.sweeps = sweeps;
     opt.workers = workers;
     opt.seed = 1;

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   std::sort(betas.begin(), betas.end());
   for (double beta : betas) {
     std::vector<double> x(a.rows(), 0.0);
-    AsyncRgsOptions opt;
+    SolveControls opt;
     opt.sweeps = static_cast<int>(*sweeps);
     opt.seed = 1;
     opt.workers = workers;

@@ -1,23 +1,14 @@
-// Updates/second of the asynchronous update engine, current vs the pre-PR2
-// baseline, pinned vs reassociated scan mode, plus the residual-check cost
-// at synchronization points.
+// Updates/second of the asynchronous update engine, pinned vs reassociated
+// scan mode, plus the residual-check cost at synchronization points and the
+// per-layer points (storage, sampling, Kaczmarz, block, prepare
+// amortization, serving, locality) tracked since.
 //
 // This driver anchors the repo's measured performance trajectory: it emits a
-// machine-readable BENCH_<label>.json (schema documented in bench/README.md)
+// machine-readable BENCH_<label>.json (schema documented in docs/TUNING.md)
 // so every perf PR can record before/after numbers produced by the same
-// harness (`scripts/bench.sh`).
-//
-// The baseline is a faithful in-tree copy of the engine's hot loop as it
-// stood before the PR-2 overhaul (namespace `legacy` below): one full
-// 10-round Philox evaluation per direction draw, a runtime `atomic_writes`
-// branch per update, a 64-bit modulo per update for the yield cadence, an
-// unconditionally constructed per-worker fallback DirectionPlan, and a
-// serial residual on worker 0 at synchronization points.  Keeping the old
-// loop compilable here (rather than diffing against an old git checkout)
-// lets one binary measure both engines on identical inputs, and doubles as
-// the "generic kernel" reference for the micro-benchmarks.
+// harness (`scripts/bench.sh`).  The end-to-end regression signal is the
+// time-to-tolerance benchmark (ttsbench/).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -25,177 +16,20 @@
 #include <thread>
 #include <vector>
 
-#include "asyrgs/support/atomics.hpp"
-#include "asyrgs/support/barrier.hpp"
-#include "asyrgs/support/prng.hpp"
 #include "bench_common.hpp"
 
 using namespace asyrgs;
 using namespace asyrgs::bench;
 
-namespace legacy {
-
-/// Pre-PR2 coordinate update: runtime atomicity branch, span-based row scan.
-inline void update_coordinate(const CsrMatrix& a, const double* b, double* x,
-                              index_t r, double beta, double inv_diag,
-                              bool atomic_writes) {
-  double acc = b[r];
-  const auto cols = a.row_cols(r);
-  const auto vals = a.row_vals(r);
-  for (std::size_t t = 0; t < cols.size(); ++t)
-    acc -= vals[t] * atomic_load_relaxed(x[cols[t]]);
-  const double delta = beta * (acc * inv_diag);
-  if (atomic_writes)
-    atomic_add_relaxed(x[r], delta);
-  else
-    racy_add(x[r], delta);
-}
-
-/// Pre-PR2 direction schedule: one full Philox evaluation per pick().
-class DirectionPlan {
- public:
-  DirectionPlan(const AsyncRgsOptions& options, index_t n, int team)
-      : n_(n), team_(team), shared_(options.seed) {}
-
-  [[nodiscard]] index_t per_sweep(int w) const {
-    return (n_ - 1 - static_cast<index_t>(w)) / team_ + 1;
-  }
-
-  [[nodiscard]] std::uint64_t total_updates(int w, int sweeps) const {
-    const std::uint64_t total = static_cast<std::uint64_t>(sweeps) *
-                                static_cast<std::uint64_t>(n_);
-    if (static_cast<std::uint64_t>(w) >= total) return 0;
-    return (total - 1 - static_cast<std::uint64_t>(w)) /
-               static_cast<std::uint64_t>(team_) +
-           1;
-  }
-
-  [[nodiscard]] index_t pick(int w, std::uint64_t k) const {
-    const std::uint64_t j =
-        static_cast<std::uint64_t>(w) + k * static_cast<std::uint64_t>(team_);
-    return shared_.index_at(j, n_);
-  }
-
-  [[nodiscard]] index_t pick_in_sweep(int w, int sweep, index_t t) const {
-    const std::uint64_t j = static_cast<std::uint64_t>(sweep) *
-                                static_cast<std::uint64_t>(n_) +
-                            static_cast<std::uint64_t>(w) +
-                            static_cast<std::uint64_t>(t) *
-                                static_cast<std::uint64_t>(team_);
-    return shared_.index_at(j, n_);
-  }
-
- private:
-  index_t n_;
-  int team_;
-  Philox4x32 shared_;
-};
-
-/// Pre-PR2 free-running engine (shared randomization scope).
-AsyncRgsReport solve_free_running(ThreadPool& pool, const CsrMatrix& a,
-                                  const std::vector<double>& b,
-                                  std::vector<double>& x,
-                                  const AsyncRgsOptions& options) {
-  const index_t n = a.rows();
-  std::vector<double> inv_diag = a.diagonal();
-  for (double& d : inv_diag) d = 1.0 / d;
-  const double beta = options.step_size;
-  int workers = options.workers > 0 ? options.workers : pool.size();
-  if (workers > pool.size()) workers = pool.size();
-
-  AsyncRgsReport report;
-  report.workers = workers;
-  WallTimer timer;
-  const DirectionPlan plan(options, n, workers);
-  pool.run_team(workers, [&](int id, int team) {
-    const DirectionPlan* my_plan = &plan;
-    DirectionPlan fallback(options, n, team);  // unconditional, as before
-    if (team != workers) my_plan = &fallback;
-    const std::uint64_t my_total = my_plan->total_updates(id, options.sweeps);
-    const std::uint64_t stride = static_cast<std::uint64_t>(
-        std::max<index_t>(my_plan->per_sweep(id), 1));
-    for (std::uint64_t k = 0; k < my_total; ++k) {
-      const index_t r = my_plan->pick(id, k);
-      update_coordinate(a, b.data(), x.data(), r, beta, inv_diag[r],
-                        options.atomic_writes);
-      if (team > 1 && (k + 1) % stride == 0) std::this_thread::yield();
-    }
-  });
-  report.sweeps_done = options.sweeps;
-  report.updates = static_cast<long long>(options.sweeps) *
-                   static_cast<long long>(n);
-  report.seconds = timer.seconds();
-  return report;
-}
-
-/// Pre-PR2 barrier-per-sweep engine with the serial worker-0 residual.
-AsyncRgsReport solve_barrier(ThreadPool& pool, const CsrMatrix& a,
-                             const std::vector<double>& b,
-                             std::vector<double>& x,
-                             const AsyncRgsOptions& options) {
-  const index_t n = a.rows();
-  std::vector<double> inv_diag = a.diagonal();
-  for (double& d : inv_diag) d = 1.0 / d;
-  const double beta = options.step_size;
-  int workers = options.workers > 0 ? options.workers : pool.size();
-  if (workers > pool.size()) workers = pool.size();
-  const bool check_enabled = options.track_history || options.rel_tol > 0.0;
-
-  AsyncRgsReport report;
-  report.workers = workers;
-  WallTimer timer;
-  const DirectionPlan plan(options, n, workers);
-  SpinBarrier barrier(workers);
-  std::atomic<bool> stop{false};
-  std::atomic<int> sweeps_done{0};
-  pool.run_team(workers, [&](int id, int team) {
-    const bool use_barrier = (team == workers && team > 1);
-    const DirectionPlan* my_plan = &plan;
-    DirectionPlan fallback(options, n, team);
-    if (team != workers) my_plan = &fallback;
-    const index_t mine = my_plan->per_sweep(id);
-    for (int sweep = 0; sweep < options.sweeps; ++sweep) {
-      for (index_t t = 0; t < mine; ++t) {
-        const index_t r = my_plan->pick_in_sweep(id, sweep, t);
-        update_coordinate(a, b.data(), x.data(), r, beta, inv_diag[r],
-                          options.atomic_writes);
-      }
-      if (use_barrier) barrier.arrive_and_wait();
-      if (id == 0) {
-        sweeps_done.store(sweep + 1, std::memory_order_relaxed);
-        if (check_enabled) {
-          const double rel = relative_residual(a, b, x);  // serial
-          report.final_relative_residual = rel;
-          if (options.track_history) report.residual_history.push_back(rel);
-          if (options.rel_tol > 0.0 && rel <= options.rel_tol) {
-            report.converged = true;
-            stop.store(true, std::memory_order_release);
-          }
-        }
-      }
-      if (use_barrier) barrier.arrive_and_wait();
-      if (stop.load(std::memory_order_acquire)) break;
-    }
-  });
-  report.sweeps_done = sweeps_done.load(std::memory_order_relaxed);
-  report.updates = static_cast<long long>(report.sweeps_done) *
-                   static_cast<long long>(n);
-  report.seconds = timer.seconds();
-  return report;
-}
-
-}  // namespace legacy
-
 namespace {
 
 struct Measurement {
   std::string workload;  // "gram_engine_bound" | "gram_scan_bound"
-  std::string engine;    // "legacy" | "current"
   std::string mode;      // "free_running" | "barrier_residual" |
                          // "prepare_amortization" | "serving_throughput" |
                          // "storage_policy" | "block_small_k" |
                          // "sampling_policy" | "kaczmarz_row_action"
-  std::string scan;      // "pinned" | "reassociated" (legacy is always pinned)
+  std::string scan;      // "pinned" | "reassociated"
   std::string storage;   // CSR policy the row's kernels ran against (v7):
                          // "int64_double" | "int32_double" | "int32_mixed"
   std::string sampling;  // direction distribution (v9, sampling_policy and
@@ -305,7 +139,7 @@ std::string json_escape(const std::string& s) {
 
 int main(int argc, char** argv) {
   CliParser cli("bench_updates",
-                "Updates/second: current engine vs the pre-PR2 baseline");
+                "Updates/second of the asynchronous engine, layer by layer");
   // Headline workload: a short-row Gram (mean ~7 nnz/row) where the engine
   // overhead — direction draws, dispatch, synchronization bookkeeping — is
   // the dominant per-update cost.  The dense-row reference workload below
@@ -325,7 +159,8 @@ int main(int argc, char** argv) {
   auto threads_opt =
       cli.add_int_list("threads", {1, 2, 4}, "worker counts to measure");
   auto headline =
-      cli.add_int("headline-workers", 4, "worker count for the headline ratio");
+      cli.add_int("headline-workers", 4,
+                  "worker count for the multi-worker (locality) point");
   auto label = cli.add_string("label", "dev", "label for the JSON file");
   auto out_path =
       cli.add_string("out", "", "output path (default BENCH_<label>.json)");
@@ -368,13 +203,13 @@ int main(int argc, char** argv) {
 
   // The pool is sized to the requested sweep, not the hardware, so the
   // 4-worker point exists even on small CI machines (oversubscribed workers
-  // timeshare; both engines are measured under the identical regime).
+  // timeshare; every row is measured under the identical regime).
   std::vector<int> worker_sweep;
   for (std::int64_t t : *threads_opt)
     worker_sweep.push_back(static_cast<int>(t));
   if (worker_sweep.empty()) worker_sweep = {1, 2, 4};
-  // The headline ratios need their worker counts measured; without this a
-  // custom --threads list omitting them would silently record speedup 0.
+  // The headline worker counts must be measured; without this a custom
+  // --threads list omitting them would silently record empty points.
   if (std::find(worker_sweep.begin(), worker_sweep.end(),
                 static_cast<int>(*headline)) == worker_sweep.end())
     worker_sweep.push_back(static_cast<int>(*headline));
@@ -386,7 +221,7 @@ int main(int argc, char** argv) {
   ThreadPool pool(max_workers);
 
   std::vector<Measurement> results;
-  Table table({"workload", "workers", "engine", "mode", "scan", "updates/s",
+  Table table({"workload", "workers", "mode", "scan", "updates/s",
                "ns/update", "check_s/sweep"});
 
   AmortizationPoint amor_spd, amor_lsq;
@@ -415,10 +250,9 @@ int main(int argc, char** argv) {
     spec.n = n;
     spec.nnz = a.nnz();
     const std::vector<double> b = random_vector(n, 7);
-    // What the current engine's prepared handles resolve by default: kAuto
-    // narrows to int32/double whenever the shape fits (it does for every
-    // bench workload).  The legacy engine predates the policies and always
-    // reads the bound full-width matrix.
+    // What the prepared handles resolve by default: kAuto narrows to
+    // int32/double whenever the shape fits (it does for every bench
+    // workload).
     const char* const auto_storage = to_string(
         resolve_storage_policy(StorageMode::kAuto, a.cols(), a.nnz()));
 
@@ -432,78 +266,56 @@ int main(int argc, char** argv) {
     };
 
     for (int workers : worker_sweep) {
-      AsyncRgsOptions opt;
+      SolveControls opt;
       opt.sweeps = n_sweeps;
       opt.seed = 1;
       opt.workers = workers;
 
       // --- free-running updates/second ----------------------------------
-      // Three rows per worker count: the pre-PR2 legacy engine (pinned by
-      // construction), the current engine on the default pinned scan, and
-      // the current engine with the opt-in reassociated scan — so every
-      // BENCH json reports both scan modes side by side.
-      struct FreeRunRow {
-        bool current;
-        ScanMode scan;
-      };
-      for (const FreeRunRow row :
-           {FreeRunRow{false, ScanMode::kPinned},
-            FreeRunRow{true, ScanMode::kPinned},
-            FreeRunRow{true, ScanMode::kReassociated}}) {
-        AsyncRgsOptions run_opt = opt;
+      // Two rows per worker count: the default pinned scan and the opt-in
+      // reassociated scan, so every BENCH json reports both side by side.
+      for (const ScanMode scan : {ScanMode::kPinned, ScanMode::kReassociated}) {
+        SolveControls run_opt = opt;
         run_opt.sync = SyncMode::kFreeRunning;
-        run_opt.scan = row.scan;
+        run_opt.scan = scan;
         const double secs = time_run([&](std::vector<double>& x) {
-          const AsyncRgsReport r =
-              row.current ? async_rgs_solve(pool, a, b, x, run_opt)
-                          : legacy::solve_free_running(pool, a, b, x, run_opt);
-          return r.seconds;
+          return async_rgs_solve(pool, a, b, x, run_opt).seconds;
         });
         Measurement m;
         m.workload = spec.name;
-        m.engine = row.current ? "current" : "legacy";
         m.mode = "free_running";
-        m.scan =
-            row.scan == ScanMode::kReassociated ? "reassociated" : "pinned";
-        m.storage = row.current ? auto_storage : "int64_double";
+        m.scan = scan == ScanMode::kReassociated ? "reassociated" : "pinned";
+        m.storage = auto_storage;
         m.workers = workers;
         m.updates = static_cast<long long>(n_sweeps) * n;
         m.seconds = secs;
         m.updates_per_second = static_cast<double>(m.updates) / secs;
         results.push_back(m);
         table.add_row(
-            {spec.name, std::to_string(workers), m.engine, m.mode, m.scan,
+            {spec.name, std::to_string(workers), m.mode, m.scan,
              fmt_sci(m.updates_per_second),
              fmt_fixed(1e9 * secs / static_cast<double>(m.updates), 1), "-"});
       }
 
       // --- residual-check cost at synchronization points -----------------
       // Barrier-per-sweep with history tracking vs without: the difference
-      // is what each sweep pays for the residual (serial on worker 0 in the
-      // legacy engine, team-parallel in the current one).
-      for (bool current : {false, true}) {
-        AsyncRgsOptions plain = opt;
+      // is what each sweep pays for the team-parallel residual.
+      {
+        SolveControls plain = opt;
         plain.sync = SyncMode::kBarrierPerSweep;
-        AsyncRgsOptions tracked = plain;
+        SolveControls tracked = plain;
         tracked.track_history = true;
         const double secs_plain = time_run([&](std::vector<double>& x) {
-          const AsyncRgsReport r =
-              current ? async_rgs_solve(pool, a, b, x, plain)
-                      : legacy::solve_barrier(pool, a, b, x, plain);
-          return r.seconds;
+          return async_rgs_solve(pool, a, b, x, plain).seconds;
         });
         const double secs_tracked = time_run([&](std::vector<double>& x) {
-          const AsyncRgsReport r =
-              current ? async_rgs_solve(pool, a, b, x, tracked)
-                      : legacy::solve_barrier(pool, a, b, x, tracked);
-          return r.seconds;
+          return async_rgs_solve(pool, a, b, x, tracked).seconds;
         });
         Measurement m;
         m.workload = spec.name;
-        m.engine = current ? "current" : "legacy";
         m.mode = "barrier_residual";
         m.scan = "pinned";
-        m.storage = current ? auto_storage : "int64_double";
+        m.storage = auto_storage;
         m.workers = workers;
         m.updates = static_cast<long long>(n_sweeps) * n;
         m.seconds = secs_tracked;
@@ -511,8 +323,8 @@ int main(int argc, char** argv) {
         m.residual_cost_per_sweep =
             std::max(0.0, (secs_tracked - secs_plain) / n_sweeps);
         results.push_back(m);
-        table.add_row({spec.name, std::to_string(workers), m.engine, m.mode,
-                       m.scan, fmt_sci(m.updates_per_second),
+        table.add_row({spec.name, std::to_string(workers), m.mode, m.scan,
+                       fmt_sci(m.updates_per_second),
                        fmt_fixed(1e9 * secs_tracked /
                                      static_cast<double>(m.updates),
                                  1),
@@ -549,7 +361,6 @@ int main(int argc, char** argv) {
           });
           Measurement m;
           m.workload = spec.name;
-          m.engine = "current";
           m.mode = "storage_policy";
           m.scan = scan == ScanMode::kReassociated ? "reassociated" : "pinned";
           m.storage = policy.name;
@@ -558,7 +369,7 @@ int main(int argc, char** argv) {
           m.seconds = secs;
           m.updates_per_second = static_cast<double>(m.updates) / secs;
           results.push_back(m);
-          table.add_row({spec.name, "1", "current",
+          table.add_row({spec.name, "1",
                          std::string("storage/") + policy.name, m.scan,
                          fmt_sci(m.updates_per_second),
                          fmt_fixed(1e9 * secs / static_cast<double>(m.updates),
@@ -613,7 +424,6 @@ int main(int argc, char** argv) {
         });
         Measurement m;
         m.workload = spec.name;
-        m.engine = "current";
         m.mode = "sampling_policy";
         m.scan = "pinned";
         m.storage = auto_storage;
@@ -623,7 +433,7 @@ int main(int argc, char** argv) {
         m.seconds = secs;
         m.updates_per_second = static_cast<double>(m.updates) / secs;
         results.push_back(m);
-        table.add_row({spec.name, "1", "current",
+        table.add_row({spec.name, "1",
                        std::string("sampling/") + policy.name, "pinned",
                        fmt_sci(m.updates_per_second),
                        fmt_fixed(1e9 * secs / static_cast<double>(m.updates),
@@ -672,7 +482,6 @@ int main(int argc, char** argv) {
         }
         Measurement m;
         m.workload = spec.name;
-        m.engine = "current";
         m.mode = "kaczmarz_row_action";
         m.scan = "pinned";
         m.storage = to_string(lsq.storage());
@@ -683,7 +492,7 @@ int main(int argc, char** argv) {
         m.seconds = best;
         m.updates_per_second = static_cast<double>(m.updates) / best;
         results.push_back(m);
-        table.add_row({spec.name, "1", "current",
+        table.add_row({spec.name, "1",
                        std::string("kaczmarz/") + m.sampling, "pinned",
                        fmt_sci(m.updates_per_second),
                        fmt_fixed(1e9 * best / static_cast<double>(m.updates),
@@ -732,7 +541,6 @@ int main(int argc, char** argv) {
         }
         Measurement m;
         m.workload = spec.name;
-        m.engine = "current";
         m.mode = "block_small_k";
         m.scan = executed;
         m.storage = auto_storage;
@@ -742,7 +550,7 @@ int main(int argc, char** argv) {
         m.seconds = best;
         m.updates_per_second = static_cast<double>(m.updates) / best;
         results.push_back(m);
-        table.add_row({spec.name, "1", "current",
+        table.add_row({spec.name, "1",
                        "block_k" + std::to_string(block_k), executed,
                        fmt_sci(m.updates_per_second),
                        fmt_fixed(1e9 * best / static_cast<double>(m.updates),
@@ -800,7 +608,6 @@ int main(int argc, char** argv) {
               ApiRow{"prepared", point.prepared_seconds}}) {
           Measurement m;
           m.workload = spec.name;
-          m.engine = "current";
           m.mode = "prepare_amortization";
           m.scan = "pinned";
           m.storage = auto_storage;
@@ -811,7 +618,7 @@ int main(int argc, char** argv) {
           m.api = row.api;
           m.family = family;
           results.push_back(m);
-          table.add_row({spec.name, "1", "current",
+          table.add_row({spec.name, "1",
                          std::string("prepare/") + m.api + "/" + family,
                          "pinned", fmt_sci(m.updates_per_second),
                          fmt_fixed(1e9 * m.seconds /
@@ -970,7 +777,6 @@ int main(int argc, char** argv) {
 
           Measurement m;
           m.workload = spec.name;
-          m.engine = "current";
           m.mode = "serving_throughput";
           m.scan = "pinned";
           m.storage = auto_storage;
@@ -982,7 +788,7 @@ int main(int argc, char** argv) {
           m.updates_per_second = static_cast<double>(m.updates) / best;
           m.solves_per_second = point.solves_per_second;
           results.push_back(m);
-          table.add_row({spec.name, "1", "current",
+          table.add_row({spec.name, "1",
                          "serving/" + std::to_string(shard_count) + "shards",
                          "pinned", fmt_sci(m.updates_per_second),
                          fmt_fixed(1e9 * best /
@@ -1056,7 +862,7 @@ int main(int argc, char** argv) {
                   : 0.0;
           overload.p50_seconds = stats.latency.p50();
           overload.p99_seconds = stats.latency.p99();
-          table.add_row({spec.name, "1", "current", "serving/overload",
+          table.add_row({spec.name, "1", "serving/overload",
                          "pinned", "-", "-", "-"});
         }
       }
@@ -1108,33 +914,19 @@ int main(int argc, char** argv) {
   const double lap_speedup =
       lap_base_ups > 0.0 ? lap_part_ups / lap_base_ups : 0.0;
 
-  // --- headline ratio ----------------------------------------------------
   const std::string headline_workload = workloads.front().name;
-  double legacy_ups = 0.0, current_ups = 0.0;
-  for (const Measurement& m : results) {
-    if (m.workload != headline_workload || m.mode != "free_running" ||
-        m.workers != *headline || m.scan != "pinned")
-      continue;
-    (m.engine == "current" ? current_ups : legacy_ups) = m.updates_per_second;
-  }
-  const double speedup = legacy_ups > 0.0 ? current_ups / legacy_ups : 0.0;
-  std::cout << "# headline (" << headline_workload << ", free-running, "
-            << *headline << " workers): legacy=" << fmt_sci(legacy_ups)
-            << " current=" << fmt_sci(current_ups)
-            << " speedup=" << fmt_fixed(speedup, 2) << "x\n";
 
   // --- scan-mode headline -------------------------------------------------
-  // Pinned vs reassociated on the current engine at 1 worker, in the
-  // scan-bound regime where the row scan's FP association is the binding
-  // constraint (falls back to the headline workload under
-  // --skip-scan-workload).  One worker isolates the kernel change from
-  // scheduling noise on oversubscribed hosts.
+  // Pinned vs reassociated at 1 worker, in the scan-bound regime where the
+  // row scan's FP association is the binding constraint (falls back to the
+  // headline workload under --skip-scan-workload).  One worker isolates the
+  // kernel change from scheduling noise on oversubscribed hosts.
   const std::string scan_workload =
       workloads.back().name;  // gram_scan_bound unless skipped
   double scan_pinned_ups = 0.0, scan_reassoc_ups = 0.0;
   for (const Measurement& m : results) {
     if (m.workload != scan_workload || m.mode != "free_running" ||
-        m.workers != 1 || m.engine != "current")
+        m.workers != 1)
       continue;
     (m.scan == "reassociated" ? scan_reassoc_ups : scan_pinned_ups) =
         m.updates_per_second;
@@ -1142,7 +934,7 @@ int main(int argc, char** argv) {
   const double scan_speedup =
       scan_pinned_ups > 0.0 ? scan_reassoc_ups / scan_pinned_ups : 0.0;
   std::cout << "# scan headline (" << scan_workload
-            << ", free-running, 1 worker, current engine): pinned="
+            << ", free-running, 1 worker): pinned="
             << fmt_sci(scan_pinned_ups)
             << " reassociated=" << fmt_sci(scan_reassoc_ups)
             << " speedup=" << fmt_fixed(scan_speedup, 2) << "x\n";
@@ -1281,7 +1073,7 @@ int main(int argc, char** argv) {
       (*out_path).empty() ? "BENCH_" + *label + ".json" : *out_path;
   std::ofstream json(path);
   json << "{\n"
-       << "  \"schema_version\": 10,\n"
+       << "  \"schema_version\": 11,\n"
        << "  \"bench\": \"bench_updates\",\n"
        << "  \"label\": \"" << json_escape(*label) << "\",\n"
        << "  \"git\": \"" << json_escape(*git_rev) << "\",\n"
@@ -1304,8 +1096,8 @@ int main(int argc, char** argv) {
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
-    json << "    {\"workload\": \"" << m.workload << "\", \"engine\": \""
-         << m.engine << "\", \"mode\": \"" << m.mode << "\", \"scan\": \""
+    json << "    {\"workload\": \"" << m.workload << "\", \"mode\": \""
+         << m.mode << "\", \"scan\": \""
          << m.scan << "\", \"storage\": \"" << m.storage
          << "\", \"workers\": " << m.workers
          << ", \"updates\": " << m.updates
@@ -1326,11 +1118,6 @@ int main(int argc, char** argv) {
     json << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
-       << "  \"headline\": {\"workload\": \"" << headline_workload
-       << "\", \"mode\": \"free_running\", \"workers\": " << *headline
-       << ", \"legacy_updates_per_second\": " << legacy_ups
-       << ", \"current_updates_per_second\": " << current_ups
-       << ", \"speedup\": " << speedup << "},\n"
        << "  \"scan_headline\": {\"workload\": \"" << scan_workload
        << "\", \"mode\": \"free_running\", \"workers\": 1"
        << ", \"pinned_updates_per_second\": " << scan_pinned_ups

@@ -74,11 +74,11 @@ int main(int argc, char** argv) {
     MultiVector x_async(a.rows(), k);
     for (int rep = 0; rep < *repeats; ++rep) {
       x_async.fill(0.0);
-      AsyncRgsOptions opt;
+      SolveControls opt;
       opt.sweeps = n_sweeps;
       opt.seed = 1;
       opt.workers = threads;
-      const AsyncRgsReport r = async_rgs_solve_block(pool, a, b, x_async, opt);
+      const SolveOutcome r = async_rgs_solve_block(pool, a, b, x_async, opt);
       asy_time = std::min(asy_time, r.seconds);
     }
     const double res_async = relative_residual_block(pool, a, b, x_async);
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     // ---- center panel: non-atomic variant ---------------------------------
     MultiVector x_nonatomic(a.rows(), k);
     {
-      AsyncRgsOptions opt;
+      SolveControls opt;
       opt.sweeps = n_sweeps;
       opt.seed = 1;
       opt.workers = threads;
@@ -118,11 +118,11 @@ int main(int argc, char** argv) {
     double asy1_time = 1e300;
     for (int rep = 0; rep < *repeats; ++rep) {
       std::fill(xs_async.begin(), xs_async.end(), 0.0);
-      AsyncRgsOptions opt;
+      SolveControls opt;
       opt.sweeps = n_sweeps;
       opt.seed = 1;
       opt.workers = threads;
-      const AsyncRgsReport r = async_rgs_solve(pool, a, b_known, xs_async, opt);
+      const SolveOutcome r = async_rgs_solve(pool, a, b_known, xs_async, opt);
       asy1_time = std::min(asy1_time, r.seconds);
     }
     const double err_async =

@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   // Async LSQ across threads (iteration (21)).
   for (int threads : thread_sweep_from(*threads_opt)) {
     std::vector<double> x(f.cols(), 0.0);
-    AsyncRgsOptions opt;
+    SolveControls opt;
     opt.sweeps = s;
     opt.step_size = 0.95;
     opt.workers = threads;

@@ -46,7 +46,7 @@ echo "bench.sh: wrote BENCH_${label}.json"
 
 # Side-by-side scan-mode, storage-policy, sampling-policy, kaczmarz,
 # block-kernel, prepare-amortization, serving-throughput, and overload
-# summaries (schema v9: docs/TUNING.md).  Best effort — the JSON is the
+# summaries (schema v11: docs/TUNING.md).  Best effort — the JSON is the
 # artifact; these lines are for the terminal.
 if command -v python3 >/dev/null 2>&1; then
   python3 - "BENCH_${label}.json" <<'PYEOF'

@@ -36,10 +36,11 @@ struct AsyncJacobiOptions {
 };
 
 /// Runs asynchronous Jacobi on A x = b starting from `x` (in place).
-/// Reuses AsyncRgsReport for uniform benchmarking.
-AsyncRgsReport async_jacobi_solve(ThreadPool& pool, const CsrMatrix& a,
-                                  const std::vector<double>& b,
-                                  std::vector<double>& x,
-                                  const AsyncJacobiOptions& options = {});
+/// Reports through SolveOutcome like every other solver (iterations =
+/// sweeps, status kBudgetCompleted: chaotic relaxation checks no residual).
+SolveOutcome async_jacobi_solve(ThreadPool& pool, const CsrMatrix& a,
+                                const std::vector<double>& b,
+                                std::vector<double>& x,
+                                const AsyncJacobiOptions& options = {});
 
 }  // namespace asyrgs

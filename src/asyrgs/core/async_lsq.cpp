@@ -105,26 +105,25 @@ RgsReport rcd_lsq_solve(const CsrMatrix& a, const std::vector<double>& b,
   return report;
 }
 
-AsyncRgsReport async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
-                               const CsrMatrix& at,
-                               const std::vector<double>& b,
-                               std::vector<double>& x,
-                               const AsyncRgsOptions& options) {
-  LsqProblem problem(pool, a, at);
-  return detail::report_from_outcome(
-      problem.solve(b, x, to_controls(options)));
+SolveOutcome async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
+                             const CsrMatrix& at, const std::vector<double>& b,
+                             std::vector<double>& x,
+                             const SolveControls& controls) {
+  SolveControls c = controls;
+  c.method = SpdMethod::kAsyncRgs;  // coordinate descent, never Kaczmarz
+  return LsqProblem(pool, a, at).solve(b, x, c);
 }
 
-AsyncRgsReport async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
-                               const std::vector<double>& b,
-                               std::vector<double>& x,
-                               const AsyncRgsOptions& options) {
+SolveOutcome async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
+                             const std::vector<double>& b,
+                             std::vector<double>& x,
+                             const SolveControls& controls) {
   // The prepared handle materializes A^T through the matrix's shared
   // transpose cache, so repeated convenience-overload calls against one
   // matrix build the transpose exactly once.
-  LsqProblem problem(pool, a);
-  return detail::report_from_outcome(
-      problem.solve(b, x, to_controls(options)));
+  SolveControls c = controls;
+  c.method = SpdMethod::kAsyncRgs;
+  return LsqProblem(pool, a).solve(b, x, c);
 }
 
 }  // namespace asyrgs

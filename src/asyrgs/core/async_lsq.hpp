@@ -36,27 +36,27 @@ RgsReport rcd_lsq_solve(const CsrMatrix& a, const std::vector<double>& b,
 
 /// Asynchronous randomized least-squares solver (iteration (21)).
 /// `at` must be the transpose of `a` (built once by the caller; it gives the
-/// solver CSR access to the columns of A).  Options/report types are shared
-/// with AsyRGS; `step_size` must be < 1 for the Theorem 5 guarantee.
+/// solver CSR access to the columns of A).  Runs through a temporary
+/// LsqProblem with `controls.method` pinned to kAsyncRgs (coordinate
+/// descent); `step_size` must be < 1 for the Theorem 5 guarantee.
 /// `scope` partitions the *columns* (the least-squares coordinates) under
 /// RandomizationScope::kOwnerComputes, and `scan` selects the FP
 /// association of the inner row scans (ScanMode; the kernel's dominant FP
 /// cost).  Thread-safety matches async_rgs_solve: matrices and b are
 /// read-only, `x` is written concurrently until the call returns.
-AsyncRgsReport async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
-                               const CsrMatrix& at,
-                               const std::vector<double>& b,
-                               std::vector<double>& x,
-                               const AsyncRgsOptions& options = {});
+SolveOutcome async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
+                             const CsrMatrix& at, const std::vector<double>& b,
+                             std::vector<double>& x,
+                             const SolveControls& controls = {});
 
 /// Convenience overload that materializes the transpose internally, through
 /// the matrix's shared transpose cache (CsrMatrix::transpose_shared) — so
 /// repeated calls against one matrix build A^T exactly once.  For the full
 /// prepare-once / solve-many split (column norms, rank validation, scratch),
 /// use asyrgs::LsqProblem (asyrgs/problem.hpp), which this wraps.
-AsyncRgsReport async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
-                               const std::vector<double>& b,
-                               std::vector<double>& x,
-                               const AsyncRgsOptions& options = {});
+SolveOutcome async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
+                             const std::vector<double>& b,
+                             std::vector<double>& x,
+                             const SolveControls& controls = {});
 
 }  // namespace asyrgs

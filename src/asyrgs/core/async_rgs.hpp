@@ -36,9 +36,12 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "asyrgs/core/rgs.hpp"
 #include "asyrgs/linalg/multivector.hpp"
+#include "asyrgs/sampling/direction_sampler.hpp"
 #include "asyrgs/sparse/csr.hpp"
 #include "asyrgs/support/thread_pool.hpp"
 
@@ -101,60 +104,165 @@ enum class ScanMode {
   kReassociated,
 };
 
-/// Options for the asynchronous solver.
-struct AsyncRgsOptions {
-  int sweeps = 10;           ///< total updates = sweeps * n across all workers
-  double step_size = 1.0;    ///< beta; Theorems 3-4 need beta < 1 for bounds
-  std::uint64_t seed = 1;    ///< keys the shared Philox direction stream
-  int workers = 0;           ///< team size; 0 = pool capacity
+/// Solution strategy (kAuto picks by accuracy target: plain AsyRGS in the
+/// low-accuracy regime where basic iterations shine, AsyRGS as a
+/// flexible-CG preconditioner when high accuracy is sought — the paper's
+/// Section 9 guidance).
+enum class SpdMethod {
+  kAuto,      ///< pick by accuracy target (see SpdProblem::solve docs)
+  kAsyncRgs,  ///< asynchronous randomized Gauss-Seidel
+  kFcgAsyRgs, ///< flexible CG preconditioned by AsyRGS
+  kCg,        ///< plain conjugate gradients (synchronous baseline)
+  /// Asynchronous row-action Kaczmarz on the shared engine: directions are
+  /// rows, each update projects x onto its row's hyperplane (relaxed by
+  /// beta).  Served by LsqProblem — it needs no symmetry and handles
+  /// rectangular and inconsistent systems; SpdProblem::solve rejects it
+  /// with a pointer there.
+  kAsyncKaczmarz,
+};
+
+/// How a solve ended.
+enum class SolveStatus {
+  /// The requested relative-residual tolerance was reached.
+  kConverged,
+  /// A tolerance was requested (rel_tol > 0 under a synchronizing mode, or
+  /// a Krylov method) but the iteration budget ran out first.
+  kToleranceNotReached,
+  /// The fixed iteration budget ran to completion with no tolerance in
+  /// play (free-running asynchronous runs, or rel_tol == 0).
+  kBudgetCompleted,
+  /// The request never ran: a serving layer declined it (queue at
+  /// ServiceOptions::max_queue, submit racing shutdown, or a deadline that
+  /// expired while queued).  Direct handle solves never produce this; the
+  /// ticket's `description` names the reason.  See serve/service.hpp.
+  kRejected,
+};
+
+/// Human-readable status name ("converged", "tolerance-not-reached",
+/// "budget-completed", "rejected").
+[[nodiscard]] const char* to_string(SolveStatus status) noexcept;
+
+/// Per-call knobs of every solve — the prepared handles (asyrgs/problem.hpp),
+/// the one-shot free functions below, and the engine itself read this one
+/// struct.  Per-problem state (matrix, pool, validation, storage) is bound
+/// at handle construction instead.
+struct SolveControls {
+  /// Solution strategy.  LsqProblem accepts kAuto/kAsyncRgs (randomized
+  /// coordinate descent) and kAsyncKaczmarz (row action); SpdProblem
+  /// accepts everything but kAsyncKaczmarz.
+  SpdMethod method = SpdMethod::kAuto;
+  /// Sweep budget for the asynchronous/randomized methods (one sweep = n
+  /// coordinate updates across the team).
+  int sweeps = 10;
+  /// Outer-iteration cap for the Krylov methods (kCg / kFcgAsyRgs);
+  /// 0 = auto (10000).
+  int max_iterations = 0;
+  double step_size = 1.0;    ///< beta; Theorems 3-5 want beta < 1 for bounds
+  std::uint64_t seed = 1;    ///< keys the Philox direction stream
+  int workers = 0;           ///< team size; 0 = pool capacity; < 0 rejected
   bool atomic_writes = true; ///< false = racy "non atomic" variant
   SyncMode sync = SyncMode::kFreeRunning;
   RandomizationScope scope = RandomizationScope::kShared;
   /// Row-scan FP association; kPinned preserves bit reproducibility, while
   /// kReassociated trades it for multi-accumulator/SIMD scan throughput.
   ScanMode scan = ScanMode::kPinned;
-  /// kTimedBarrier only: seconds between rendezvous points.
-  double sync_interval_seconds = 0.05;
-  /// With kBarrierPerSweep/kTimedBarrier: track the relative residual at
-  /// each synchronization and stop early when it reaches rel_tol (> 0).
+  double sync_interval_seconds = 0.05;  ///< kTimedBarrier rendezvous cadence
+  /// With kBarrierPerSweep/kTimedBarrier: record the relative residual at
+  /// each synchronization (SolveOutcome::residual_history).
   bool track_history = false;
+  /// Target on the method's convergence metric (relative residual; normal
+  /// equations residual for least squares).  0 disables tolerance stopping;
+  /// free-running asynchronous runs never evaluate it.
   double rel_tol = 0.0;
+  /// kFcgAsyRgs only: AsyRGS sweeps per preconditioner application.
+  int inner_sweeps = 2;
+  /// Direction-draw distribution for the asynchronous methods (see
+  /// sampling/direction_sampler.hpp).  kUniform is the paper's setting and
+  /// bit-identical to the pre-sampling engine.  Non-uniform policies
+  /// require RandomizationScope::kShared; kResidual additionally requires
+  /// a synchronizing mode (its table refreshes at rendezvous) and the
+  /// single-RHS paths.  The Krylov methods reject non-uniform policies —
+  /// they draw no random directions.
+  SamplingPolicy sampling = SamplingPolicy::kUniform;
+  /// kResidual only: rebuild the residual-weighted table every this many
+  /// synchronization rendezvous (sweeps under kBarrierPerSweep, rounds
+  /// under kTimedBarrier).  Must be >= 1; see docs/TUNING.md for sizing.
+  int resample_sweeps = 8;
+  /// Topology-aware partitioned scheduling (SpdProblem single-RHS AsyRGS
+  /// only).  0 = off (the paper's any-worker-any-coordinate model).  >= 1
+  /// reorders the operator by reverse Cuthill-McKee, cuts it into this many
+  /// cache-line-aligned partitions balanced by nonzeros, and has each
+  /// worker draw only from the partitions it owns plus their halos — the
+  /// locality layer for graph-Laplacian scale (docs/TUNING.md).  Clamped to
+  /// the dimension; the clamp is surfaced as SolveOutcome::partitions_used.
+  /// Requires kUniform sampling and RandomizationScope::kShared.
+  int partitions = 0;
+  /// Probability in [0, 1) that a partitioned draw steals a halo row
+  /// (a neighbour-owned boundary row) instead of an owned row — the
+  /// cross-partition coupling knob.  Liu-Wright-style restricted sampling:
+  /// 0 is pure owner-computes; a few percent restores the information flow
+  /// across cuts that the convergence theory leans on.  Requires
+  /// partitions >= 1.
+  double steal_rate = 0.0;
 };
 
-/// Outcome of an AsyRGS run.
-struct AsyncRgsReport {
-  int sweeps_done = 0;
-  long long updates = 0;
-  int workers = 0;
-  double seconds = 0.0;  ///< wall time of the iteration loop only
-  bool converged = false;
-  double final_relative_residual = 0.0;  ///< when history/tolerance active
-  std::vector<double> residual_history;  ///< per sweep (barrier mode only)
-  /// Row-scan FP association the kernels actually executed.  Equals the
-  /// requested AsyncRgsOptions::scan except for the block solver, which
-  /// always runs the pinned scan (its inner loops are column-parallel
-  /// already) and reports kPinned here even when kReassociated was
-  /// requested — see docs/TUNING.md.
-  ScanMode scan_used = ScanMode::kPinned;
+/// Result of every solve.
+struct SolveOutcome {
+  SolveStatus status = SolveStatus::kBudgetCompleted;
+  /// Resolved strategy (SpdProblem methods; for LsqProblem kAsyncRgs =
+  /// coordinate descent, kAsyncKaczmarz = row action).
+  SpdMethod method_used = SpdMethod::kAuto;
+  int iterations = 0;        ///< sweeps or outer iterations, per method
+  long long updates = 0;     ///< coordinate updates (asynchronous methods)
+  int workers = 0;           ///< actual team size used
+  double relative_residual = 0.0;  ///< when a tolerance/history was active
+  double seconds = 0.0;      ///< iteration-loop wall time
+  ScanMode scan_requested = ScanMode::kPinned;
+  /// Association the kernels actually ran; differs from scan_requested only
+  /// for the block solver at more than four right-hand sides, whose
+  /// column-parallel inner loops run the pinned scan (k <= 4 dispatches the
+  /// reassociated register-resident kernel; see docs/TUNING.md).
+  ScanMode scan_executed = ScanMode::kPinned;
+  /// CSR storage policy the kernels actually ran against — the handle's
+  /// resolved policy for the asynchronous methods, kInt64Double for the
+  /// Krylov outer methods (which always read the bound full-width matrix).
+  StoragePolicy storage_used = StoragePolicy::kInt64Double;
+  /// Direction-draw distribution the run used (kUniform for the Krylov
+  /// methods, which draw no directions).
+  SamplingPolicy sampling_used = SamplingPolicy::kUniform;
+  /// Partition count the run actually used (SolveControls::partitions after
+  /// clamping to the dimension); 0 = unpartitioned scheduling.
+  int partitions_used = 0;
+  /// Halo steal probability the partitioned run used (0 when unpartitioned).
+  double steal_rate_used = 0.0;
+  std::vector<double> residual_history;  ///< per synchronization, if tracked
+  std::string description;   ///< human-readable method/mode summary
+
+  [[nodiscard]] bool converged() const noexcept {
+    return status == SolveStatus::kConverged;
+  }
 };
 
-/// Runs AsyRGS on SPD A x = b starting from `x` (updated in place).
-/// Requires a strictly positive diagonal (iteration (3) of the paper).
+/// Runs AsyRGS on SPD A x = b starting from `x` (updated in place) through a
+/// temporary SpdProblem, so the arithmetic is the prepared handle's.  Always
+/// runs the asynchronous method: `controls.method` is ignored (under kAuto a
+/// small rel_tol would otherwise resolve to flexible CG).  Requires a
+/// strictly positive diagonal (iteration (3) of the paper).
 ///
 /// Thread-safety: `a` and `b` are read-only and may be shared; `x` is
 /// written concurrently by the worker team for the duration of the call —
 /// do not read it from other threads until the function returns.  The pool
 /// hosts one team at a time; a nested call from inside a running team
 /// shrinks to a single worker instead of deadlocking.
-AsyncRgsReport async_rgs_solve(ThreadPool& pool, const CsrMatrix& a,
-                               const std::vector<double>& b,
-                               std::vector<double>& x,
-                               const AsyncRgsOptions& options = {});
+SolveOutcome async_rgs_solve(ThreadPool& pool, const CsrMatrix& a,
+                             const std::vector<double>& b,
+                             std::vector<double>& x,
+                             const SolveControls& controls = {});
 
 /// Block variant: each coordinate update applies to all columns of X (the
 /// paper's 51-right-hand-side experiment).  Atomicity is per scalar entry.
-AsyncRgsReport async_rgs_solve_block(ThreadPool& pool, const CsrMatrix& a,
-                                     const MultiVector& b, MultiVector& x,
-                                     const AsyncRgsOptions& options = {});
+SolveOutcome async_rgs_solve_block(ThreadPool& pool, const CsrMatrix& a,
+                                   const MultiVector& b, MultiVector& x,
+                                   const SolveControls& controls = {});
 
 }  // namespace asyrgs

@@ -1,12 +1,14 @@
 // Shared asynchronous execution engine (internal).
 //
-// The hot loop common to async_rgs, async_rgs_block, and async_lsq:
-// direction planning, the three synchronization modes, and team-parallel
-// residual evaluation at synchronization points.  Everything here is an
-// implementation detail of the core solvers — the header exists so that the
-// solvers share one engine and so that the determinism test suite and the
-// kernel micro-benchmarks can exercise the pieces in isolation.  No symbol
-// in asyrgs::detail is a stable public API.
+// The hot loop common to every asynchronous solve path (single-RHS,
+// partitioned, block, least-squares coordinate descent, Kaczmarz): direction
+// planning, the three synchronization modes, and team-parallel residual
+// evaluation at synchronization points.  It reads SolveControls and fills
+// SolveOutcome (core/async_rgs.hpp) directly.  Everything here is an
+// implementation detail of the solve pipeline in problem.cpp — the header
+// exists so that the determinism test suite and the kernel micro-benchmarks
+// can exercise the pieces in isolation.  No symbol in asyrgs::detail is a
+// stable public API.
 //
 // Performance notes (the properties the PR-2 overhaul established; keep
 // them when editing):
@@ -83,13 +85,13 @@ inline constexpr std::size_t kPrefetchDistance = 4;
 /// words at the SAME stream positions and maps each through its alias
 /// table, so the position multiset — and with it the cross-worker-count
 /// invariance — is untouched.  Weighted draws require the shared scope
-/// (validated by run_engine_sampled; owner-computes streams partition the
+/// (validated by run_engine; owner-computes streams partition the
 /// index space and have no global distribution to weight).
 class DirectionPlan {
  public:
-  DirectionPlan(const AsyncRgsOptions& options, index_t n, int team,
+  DirectionPlan(const SolveControls& controls, index_t n, int team,
                 const DirectionSampler* sampler = nullptr)
-      : scope_(options.scope), n_(n), team_(team), shared_(options.seed),
+      : scope_(controls.scope), n_(n), team_(team), shared_(controls.seed),
         sampler_(sampler != nullptr && sampler->weighted_draws() ? sampler
                                                                  : nullptr) {
     ASYRGS_ASSERT(sampler_ == nullptr ||
@@ -108,7 +110,7 @@ class DirectionPlan {
         size_[static_cast<std::size_t>(w)] = size;
         lo += size;
         streams_.emplace_back(
-            splitmix64(options.seed + 0x9E3779B97F4A7C15ull *
+            splitmix64(controls.seed + 0x9E3779B97F4A7C15ull *
                                           static_cast<std::uint64_t>(w + 1)));
       }
     }
@@ -242,7 +244,7 @@ class DirectionPlan {
 /// Topology-aware per-worker schedule over a GraphPartition
 /// (gen/partition.hpp) with stochastic boundary stealing — the partitioned
 /// alternative to DirectionPlan, sharing its interface so the engine bodies
-/// serve both (run_engine_with_plan).
+/// serve both (run_engine).
 ///
 /// Worker w of a team of T executes partitions {w, w+T, w+2T, ...}
 /// round-robin; partition p draws from its OWN Philox stream (keyed by seed
@@ -397,15 +399,15 @@ class PartitionedDirectionPlan {
   std::vector<std::vector<index_t>> cum_;
 };
 
-/// Maps the runtime (atomic_writes, scan) option pair onto the compile-time
-/// kernel grid: invokes fn.operator()<kAtomicWrites, kScan>() for the
-/// matching specialization.  Shared by the single-RHS and least-squares
-/// solvers (and any future kernel axis) so the 2x2 dispatch ladder lives in
-/// one place.
+/// Maps the runtime (atomic_writes, scan) pair onto the compile-time kernel
+/// grid: invokes fn.operator()<kAtomicWrites, kScan>() for the matching
+/// specialization, so the 2x2 dispatch ladder lives in one place.  `scan` is
+/// the association the kernels execute (SolveOutcome::scan_executed), which
+/// the block path may downgrade from the requested SolveControls::scan.
 template <typename Fn>
-void dispatch_atomic_scan(const AsyncRgsOptions& options, Fn&& fn) {
-  const bool reassoc = options.scan == ScanMode::kReassociated;
-  if (options.atomic_writes) {
+void dispatch_atomic_scan(bool atomic_writes, ScanMode scan, Fn&& fn) {
+  const bool reassoc = scan == ScanMode::kReassociated;
+  if (atomic_writes) {
     if (reassoc)
       fn.template operator()<true, ScanMode::kReassociated>();
     else
@@ -502,7 +504,7 @@ class TeamReduce {
 /// (block gamma scratch), and a dense double buffer (least-squares residual).
 /// A prepared problem handle (asyrgs/problem.hpp) owns one of these and hands
 /// it to every solve so repeated solves against one matrix re-use the
-/// allocations; the free-function wrappers create a throwaway instance.
+/// allocations; direct engine callers may pass none and get a throwaway one.
 ///
 /// Thread-safety inside a run: prepare() must be called before the team
 /// starts; after that each worker touches only its own dirs(w, ...) slot, so
@@ -594,52 +596,64 @@ struct EngineSampling {
   std::function<void()> refresh;
 };
 
-/// Generic execution engine shared by the single-RHS, block, and
-/// least-squares asynchronous solvers.
+/// The execution engine shared by every asynchronous solve path.
 ///
 /// `update(worker, r, r_ahead)` performs one coordinate update on direction
 /// r; r_ahead is a direction the worker will execute kPrefetchDistance picks
 /// later (clamped to the refill chunk), for cache prefetching — functors may
-/// ignore it.  `residual(worker,
-/// team)` evaluates the convergence metric at synchronization points; it is
-/// called by *every* rendezvoused worker (team-parallel reduction — see
-/// TeamReduce) and only worker 0's return value is used.  The engine calls
-/// it only when options request history tracking or a tolerance.
+/// ignore it.  `residual(worker, team)` evaluates the convergence metric at
+/// synchronization points; it is called by *every* rendezvoused worker
+/// (team-parallel reduction — see TeamReduce) and only worker 0's return
+/// value is used.  The engine calls it only when controls request history
+/// tracking or a tolerance.
 ///
-/// The thread pool may shrink a team to 1 on nested calls; the engine then
-/// builds the matching single-worker plan lazily (make_plan(team)) instead
-/// of paying for a throwaway fallback plan in every worker.
+/// `make_plan(team, sampler)` builds the direction schedule for a team size
+/// — DirectionPlan (see direction_plans) or PartitionedDirectionPlan, any
+/// type with the shared per_sweep/total_updates/fill/fill_in_sweep
+/// interface — so the three synchronization-mode bodies exist once.  The
+/// thread pool may shrink a team to 1 on nested calls; the engine then
+/// builds the matching single-worker plan lazily instead of paying for a
+/// throwaway fallback plan in every worker.  `sampling` supplies the draw
+/// distribution handed to the factory and the rendezvous refresh.
+///
+/// The engine fills the iteration fields of `out` — iterations, updates,
+/// relative_residual, residual_history — and sets status to kConverged when
+/// the tolerance is met; every other outcome field is the caller's.
 ///
 /// `scratch` (optional) supplies reusable per-worker direction buffers; a
 /// prepared handle passes its own so repeated solves skip the allocations,
 /// while one-shot callers leave it null and pay a local scratch per call.
-///
-/// This is the plan-generic core: `make_plan(team)` builds the direction
-/// schedule (DirectionPlan or PartitionedDirectionPlan — any type with the
-/// shared per_sweep/total_updates/fill/fill_in_sweep interface) for a given
-/// team size, so the three synchronization-mode bodies exist once.
-/// run_engine_sampled below instantiates it with DirectionPlan and is the
-/// entry point for everything unpartitioned; the partitioned solve path
-/// (problem.cpp) passes a PartitionedDirectionPlan factory.  `refresh` is
-/// the EngineSampling rendezvous callback (empty = none).
 template <typename PlanFactory, typename UpdateFn, typename ResidualFn>
-void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
-                          index_t n, int workers, PlanFactory&& make_plan,
-                          const std::function<void()>& refresh,
-                          UpdateFn&& update, ResidualFn&& residual,
-                          AsyncRgsReport& report,
-                          EngineScratch* scratch = nullptr) {
-  using Plan = std::decay_t<decltype(make_plan(1))>;
+void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
+                int workers, PlanFactory&& make_plan,
+                const EngineSampling& sampling, UpdateFn&& update,
+                ResidualFn&& residual, SolveOutcome& out,
+                EngineScratch* scratch = nullptr) {
+  if (sampling.sampler != nullptr && sampling.sampler->weighted_draws()) {
+    require(controls.scope == RandomizationScope::kShared,
+            "run_engine: weighted direction sampling requires the shared "
+            "randomization scope");
+    require(sampling.sampler->directions() == n,
+            "run_engine: sampler direction count must match the engine");
+  }
+  require(!sampling.refresh || controls.sync != SyncMode::kFreeRunning,
+          "run_engine: sampler refresh needs synchronization points; "
+          "kFreeRunning has none");
+  const std::function<void()>& refresh = sampling.refresh;
+  const auto plan_for = [&](int team) {
+    return make_plan(team, sampling.sampler);
+  };
+  using Plan = std::decay_t<decltype(plan_for(1))>;
   EngineScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   scratch->prepare(workers);
-  const bool check_enabled = options.track_history || options.rel_tol > 0.0;
-  const int sweeps = options.sweeps;
+  const bool check_enabled = controls.track_history || controls.rel_tol > 0.0;
+  const int sweeps = controls.sweeps;
   const long long total_target =
       static_cast<long long>(sweeps) * static_cast<long long>(n);
 
-  if (options.sync == SyncMode::kFreeRunning) {
-    const Plan plan = make_plan(workers);
+  if (controls.sync == SyncMode::kFreeRunning) {
+    const Plan plan = plan_for(workers);
     pool.run_team(workers, [&](int id, int team) {
       // The pool may shrink the team on nested calls; rebuild the plan so
       // the partitioning matches the actual team (lazily — the common
@@ -647,7 +661,7 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
       std::optional<Plan> shrunk;
       const Plan* my_plan = &plan;
       if (team != workers) {
-        shrunk.emplace(make_plan(team));
+        shrunk.emplace(plan_for(team));
         my_plan = &*shrunk;
       }
       const std::uint64_t my_total = my_plan->total_updates(id, sweeps);
@@ -679,13 +693,13 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
         }
       }
     });
-    report.sweeps_done = sweeps;
-    report.updates = total_target;
+    out.iterations = sweeps;
+    out.updates = total_target;
     return;
   }
 
-  if (options.sync == SyncMode::kBarrierPerSweep) {
-    const Plan plan = make_plan(workers);
+  if (controls.sync == SyncMode::kBarrierPerSweep) {
+    const Plan plan = plan_for(workers);
     SpinBarrier barrier(workers);
     std::atomic<bool> stop{false};
     std::atomic<int> sweeps_done{0};
@@ -694,7 +708,7 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
       std::optional<Plan> shrunk;
       const Plan* my_plan = &plan;
       if (team != workers) {
-        shrunk.emplace(make_plan(team));
+        shrunk.emplace(plan_for(team));
         my_plan = &*shrunk;
       }
       const index_t mine = my_plan->per_sweep(id);
@@ -719,10 +733,10 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
         if (id == 0) {
           sweeps_done.store(sweep + 1, std::memory_order_relaxed);
           if (check_enabled) {
-            report.final_relative_residual = rel;
-            if (options.track_history) report.residual_history.push_back(rel);
-            if (options.rel_tol > 0.0 && rel <= options.rel_tol) {
-              report.converged = true;
+            out.relative_residual = rel;
+            if (controls.track_history) out.residual_history.push_back(rel);
+            if (controls.rel_tol > 0.0 && rel <= controls.rel_tol) {
+              out.status = SolveStatus::kConverged;
               stop.store(true, std::memory_order_release);
             }
           }
@@ -735,9 +749,9 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
         if (stop.load(std::memory_order_acquire)) break;
       }
     });
-    report.sweeps_done = sweeps_done.load(std::memory_order_relaxed);
-    report.updates = static_cast<long long>(report.sweeps_done) *
-                     static_cast<long long>(n);
+    out.iterations = sweeps_done.load(std::memory_order_relaxed);
+    out.updates = static_cast<long long>(out.iterations) *
+                  static_cast<long long>(n);
     return;
   }
 
@@ -747,7 +761,7 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
   // imbalance (the Section 5 "time based scheme").  The clock is consulted
   // once per direction-buffer refill — at most kDirectionChunk (and at most
   // one sweep-equivalent) of updates between checks.
-  const Plan plan = make_plan(workers);
+  const Plan plan = plan_for(workers);
   SpinBarrier barrier(workers);
   std::atomic<bool> stop{false};
   std::atomic<long long> updates_done{0};
@@ -756,7 +770,7 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
     std::optional<Plan> shrunk;
     const Plan* my_plan = &plan;
     if (team != workers) {
-      shrunk.emplace(make_plan(team));
+      shrunk.emplace(plan_for(team));
       my_plan = &*shrunk;
     }
     const std::uint64_t my_total = my_plan->total_updates(id, sweeps);
@@ -787,7 +801,7 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
           since_yield = 0;
           std::this_thread::yield();
         }
-        if (round_timer.seconds() >= options.sync_interval_seconds) break;
+        if (round_timer.seconds() >= controls.sync_interval_seconds) break;
       }
       updates_done.fetch_add(static_cast<long long>(done_this_round),
                              std::memory_order_relaxed);
@@ -797,10 +811,10 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
         bool should_stop =
             updates_done.load(std::memory_order_relaxed) >= total_target;
         if (check_enabled) {
-          report.final_relative_residual = rel;
-          if (options.track_history) report.residual_history.push_back(rel);
-          if (options.rel_tol > 0.0 && rel <= options.rel_tol) {
-            report.converged = true;
+          out.relative_residual = rel;
+          if (controls.track_history) out.residual_history.push_back(rel);
+          if (controls.rel_tol > 0.0 && rel <= controls.rel_tol) {
+            out.status = SolveStatus::kConverged;
             should_stop = true;
           }
         }
@@ -811,50 +825,18 @@ void run_engine_with_plan(ThreadPool& pool, const AsyncRgsOptions& options,
       if (full_team) barrier.arrive_and_wait();
     }
   });
-  report.updates = updates_done.load(std::memory_order_relaxed);
-  report.sweeps_done =
-      static_cast<int>(report.updates / std::max<index_t>(n, 1));
+  out.updates = updates_done.load(std::memory_order_relaxed);
+  out.iterations = static_cast<int>(out.updates / std::max<index_t>(n, 1));
 }
 
-/// Sampled engine run over the shared/owner-computes DirectionPlan — the
-/// entry point for every unpartitioned solve.  Validates the sampling
-/// contract, then delegates to run_engine_with_plan with a DirectionPlan
-/// factory (byte-identical to the historical inline bodies).
-template <typename UpdateFn, typename ResidualFn>
-void run_engine_sampled(ThreadPool& pool, const AsyncRgsOptions& options,
-                        index_t n, int workers,
-                        const EngineSampling& sampling, UpdateFn&& update,
-                        ResidualFn&& residual, AsyncRgsReport& report,
-                        EngineScratch* scratch = nullptr) {
-  if (sampling.sampler != nullptr && sampling.sampler->weighted_draws()) {
-    require(options.scope == RandomizationScope::kShared,
-            "run_engine: weighted direction sampling requires the shared "
-            "randomization scope");
-    require(sampling.sampler->directions() == n,
-            "run_engine: sampler direction count must match the engine");
-  }
-  require(!sampling.refresh || options.sync != SyncMode::kFreeRunning,
-          "run_engine: sampler refresh needs synchronization points; "
-          "kFreeRunning has none");
-  run_engine_with_plan(
-      pool, options, n, workers,
-      [&](int team) {
-        return DirectionPlan(options, n, team, sampling.sampler);
-      },
-      sampling.refresh, std::forward<UpdateFn>(update),
-      std::forward<ResidualFn>(residual), report, scratch);
-}
-
-/// Uniform-sampling engine run — the historical entry point.  Delegates
-/// with a default EngineSampling, which compiles to the exact pre-sampling
-/// draw path (null sampler, no refresh).
-template <typename UpdateFn, typename ResidualFn>
-void run_engine(ThreadPool& pool, const AsyncRgsOptions& options, index_t n,
-                int workers, UpdateFn&& update, ResidualFn&& residual,
-                AsyncRgsReport& report, EngineScratch* scratch = nullptr) {
-  run_engine_sampled(pool, options, n, workers, EngineSampling{},
-                     std::forward<UpdateFn>(update),
-                     std::forward<ResidualFn>(residual), report, scratch);
+/// Plan factory of every unpartitioned run: the shared/owner-computes
+/// DirectionPlan over `controls`' scope and seed, drawing through the run's
+/// sampler.  `controls` must outlive the factory.
+[[nodiscard]] inline auto direction_plans(const SolveControls& controls,
+                                          index_t n) {
+  return [&controls, n](int team, const DirectionSampler* sampler) {
+    return DirectionPlan(controls, n, team, sampler);
+  };
 }
 
 }  // namespace asyrgs::detail

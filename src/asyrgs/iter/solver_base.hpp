@@ -1,9 +1,11 @@
-// Shared option/report types for all solvers (classic and randomized).
+// Option/report types of the classic synchronous solvers (CG, FCG, Jacobi,
+// Gauss-Seidel, Kaczmarz).
 //
 // Both structs are plain values: copy them freely, no solver retains a
-// reference past the call.  The asynchronous solvers use the richer
-// AsyncRgsOptions/AsyncRgsReport in core/async_rgs.hpp, which add the
-// worker/synchronization/scan knobs this baseline set does not need.
+// reference past the call.  The asynchronous solvers and the prepared
+// handles take SolveControls and return SolveOutcome (core/async_rgs.hpp),
+// which add the method/worker/synchronization/scan knobs and the structured
+// status this baseline set does not need.
 #pragma once
 
 #include <string>

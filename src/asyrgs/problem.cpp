@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "asyrgs/core/engine.hpp"
@@ -20,6 +22,16 @@ namespace asyrgs {
 
 namespace detail {
 
+StoredMatrix::StoredMatrix(const CsrMatrix& a, StoragePolicy policy)
+    : full(&a) {
+  if (policy == StoragePolicy::kInt32Double)
+    a32 = std::make_shared<const CsrMatrix32>(
+        convert_storage<std::int32_t, double>(a));
+  else if (policy == StoragePolicy::kInt32Mixed)
+    amixed = std::make_shared<const CsrMatrixMixed>(
+        convert_storage<std::int32_t, float>(a));
+}
+
 /// Per-handle reusable solver scratch: the packed (b, 1/diag) pairs refilled
 /// each solve, plus the engine's per-worker buffers.  Lives behind a pimpl
 /// so problem.hpp stays free of the unstable engine/kernel internals.
@@ -34,28 +46,22 @@ struct ProblemScratch {
 };
 
 /// Prepare-time partition analysis for SpdProblem: the RCM analysis (order +
-/// permuted operator), the reciprocals of the permuted diagonal, and — when
-/// the handle's storage policy narrows — a compact copy of the permuted
-/// operator, so partitioned solves run the same storage the unpartitioned
-/// path does.  Immutable once constructed; clones alias it via shared_ptr
-/// exactly like the compact storage copies.
+/// permuted operator), the reciprocals of the permuted diagonal, and the
+/// permuted operator at the handle's storage policy, so partitioned solves
+/// run the same storage the unpartitioned path does.  Immutable once
+/// constructed; clones alias it via shared_ptr exactly like the compact
+/// storage copies.
 struct SpdPartitionState {
   PartitionAnalysis analysis;
   std::vector<double> inv_diag;  ///< 1/diag in permuted (RCM) order
-  std::shared_ptr<const CsrMatrix32> a32;
-  std::shared_ptr<const CsrMatrixMixed> amixed;
+  StoredMatrix permuted;
 
-  SpdPartitionState(const CsrMatrix& a, StoragePolicy policy) : analysis(a) {
+  SpdPartitionState(const CsrMatrix& a, StoragePolicy policy)
+      : analysis(a), permuted(analysis.permuted(), policy) {
     // The symmetric permutation maps diagonal to diagonal, so the handle's
     // strict-positivity validation covers these reciprocals too.
     inv_diag = analysis.permuted().diagonal();
     for (double& d : inv_diag) d = 1.0 / d;
-    if (policy == StoragePolicy::kInt32Double)
-      a32 = std::make_shared<const CsrMatrix32>(
-          convert_storage<std::int32_t, double>(analysis.permuted()));
-    else if (policy == StoragePolicy::kInt32Mixed)
-      amixed = std::make_shared<const CsrMatrixMixed>(
-          convert_storage<std::int32_t, float>(analysis.permuted()));
   }
 };
 
@@ -63,66 +69,58 @@ struct SpdPartitionState {
 
 namespace {
 
-void validate_async_controls(const AsyncRgsOptions& options, const char* who) {
-  // One message per violated precondition; `who` names the entry point.
+/// Every per-call precondition of a solve, checked once at the entry point
+/// with one message per violation (`who` names it).  `engine` says the
+/// method runs the asynchronous engine; the Krylov methods read none of the
+/// engine knobs and draw no random directions.  The block path passes
+/// residual_ok = false: its residual metric is a Frobenius norm over all
+/// columns, which has no per-direction weight to refresh.  Paths that cannot
+/// serve partitioned scheduling at all reject partitions != 0 themselves,
+/// with a pointer to the supported path.
+void validate_controls(const SolveControls& c, const char* who, bool engine,
+                       bool residual_ok = true) {
   auto fail = [&](const char* what) {
     throw Error(std::string(who) + ": " + what);
   };
-  if (options.sweeps < 0) fail("sweeps must be non-negative");
-  if (!(options.step_size > 0.0 && options.step_size < 2.0))
+  if (c.workers < 0) fail("workers must be non-negative (0 = pool capacity)");
+  if (c.partitions < 0) fail("partitions must be non-negative");
+  if (c.partitions == 0) {
+    if (c.steal_rate != 0.0)
+      fail("steal_rate requires partitioned scheduling (partitions >= 1)");
+  } else {
+    if (!(c.steal_rate >= 0.0 && c.steal_rate < 1.0))
+      fail("steal_rate must be in [0, 1)");
+    if (c.sampling != SamplingPolicy::kUniform)
+      fail("partitioned scheduling draws uniformly within partitions; "
+           "non-uniform sampling policies apply to the unpartitioned engine");
+    if (c.scope != RandomizationScope::kShared)
+      fail("partitioned scheduling supplies its own ownership structure; use "
+           "the shared randomization scope");
+  }
+  if (!engine) {
+    if (c.sampling != SamplingPolicy::kUniform)
+      fail("the Krylov methods draw no random directions; sampling policies "
+           "apply to the asynchronous methods");
+    return;
+  }
+  if (c.sweeps < 0) fail("sweeps must be non-negative");
+  if (!(c.step_size > 0.0 && c.step_size < 2.0))
     fail("step size must be in (0, 2)");
-  if (options.rel_tol < 0.0) fail("rel_tol must be non-negative");
-  if (!(options.sync_interval_seconds > 0.0))
-    fail("sync interval must be positive");
-}
-
-/// Preconditions shared by every non-uniform sampling request.  The block
-/// path passes residual_ok = false: its residual metric is a Frobenius norm
-/// over all columns, which has no per-direction weight to refresh.
-void validate_sampling_controls(const SolveControls& controls, const char* who,
-                                bool residual_ok = true) {
-  auto fail = [&](const char* what) {
-    throw Error(std::string(who) + ": " + what);
-  };
-  if (controls.sampling == SamplingPolicy::kUniform) return;
-  if (controls.scope != RandomizationScope::kShared)
+  if (c.rel_tol < 0.0) fail("rel_tol must be non-negative");
+  if (!(c.sync_interval_seconds > 0.0)) fail("sync interval must be positive");
+  if (c.sampling == SamplingPolicy::kUniform) return;
+  if (c.scope != RandomizationScope::kShared)
     fail("non-uniform sampling requires the shared randomization scope "
          "(owner-computes partitions have no global distribution)");
-  if (controls.sampling == SamplingPolicy::kResidual) {
+  if (c.sampling == SamplingPolicy::kResidual) {
     if (!residual_ok)
       fail("residual-weighted sampling is single-right-hand-side only");
-    if (controls.sync == SyncMode::kFreeRunning)
+    if (c.sync == SyncMode::kFreeRunning)
       fail("residual-weighted sampling refreshes its table at "
            "synchronization points; use barrier-per-sweep or timed-barrier "
            "mode");
-    if (controls.resample_sweeps < 1)
-      fail("resample_sweeps must be at least 1");
+    if (c.resample_sweeps < 1) fail("resample_sweeps must be at least 1");
   }
-}
-
-/// Preconditions for partitioned scheduling.  Callers that cannot serve it
-/// at all (block, least squares, Krylov) reject partitions != 0 themselves
-/// with a pointer to the supported path; this validates the knobs on any
-/// path, including that steal_rate is inert without partitions.
-void validate_partition_controls(const SolveControls& controls,
-                                 const char* who) {
-  auto fail = [&](const char* what) {
-    throw Error(std::string(who) + ": " + what);
-  };
-  if (controls.partitions < 0) fail("partitions must be non-negative");
-  if (controls.partitions == 0) {
-    if (controls.steal_rate != 0.0)
-      fail("steal_rate requires partitioned scheduling (partitions >= 1)");
-    return;
-  }
-  if (!(controls.steal_rate >= 0.0 && controls.steal_rate < 1.0))
-    fail("steal_rate must be in [0, 1)");
-  if (controls.sampling != SamplingPolicy::kUniform)
-    fail("partitioned scheduling draws uniformly within partitions; "
-         "non-uniform sampling policies apply to the unpartitioned engine");
-  if (controls.scope != RandomizationScope::kShared)
-    fail("partitioned scheduling supplies its own ownership structure; use "
-         "the shared randomization scope");
 }
 
 std::string sampling_note(const SolveControls& controls) {
@@ -193,69 +191,167 @@ const char* sync_name(SyncMode sync) {
   return "?";
 }
 
+/// Team size for a validated request: 0 means the pool's capacity, and no
+/// request exceeds it.
 int clamp_workers(int requested, const ThreadPool& pool) {
   int workers = requested > 0 ? requested : pool.size();
   if (workers > pool.size()) workers = pool.size();
   return workers;
 }
 
-/// Maps an engine report onto the unified outcome.  `tolerance_active` says
-/// whether a tolerance could actually stop the run (rel_tol > 0 under a
-/// synchronizing mode) — free-running runs never evaluate residuals, so for
-/// them an unmet rel_tol is kBudgetCompleted, not kToleranceNotReached.
-SolveOutcome outcome_from_report(AsyncRgsReport&& report,
-                                 const AsyncRgsOptions& options,
-                                 std::string description) {
+/// The one storage dispatch: invokes fn on every operand at the resolved
+/// policy — a handle's own matrix, the partition analysis' permuted copy,
+/// or the least-squares (A, A^T) pair.
+template <class Fn, class... Stored>
+SolveOutcome with_storage(StoragePolicy policy, Fn&& fn,
+                          const Stored&... operands) {
+  switch (policy) {
+    case StoragePolicy::kInt32Double:
+      return fn(*operands.a32...);
+    case StoragePolicy::kInt32Mixed:
+      return fn(*operands.amixed...);
+    case StoragePolicy::kInt64Double:
+      break;
+  }
+  return fn(*operands.full...);
+}
+
+/// The handle state a solve runs against.
+struct PipelineEnv {
+  ThreadPool& pool;
+  detail::ProblemScratch& scratch;
+  ProblemStats& stats;
+};
+
+/// Where a path's non-uniform direction weights come from.  Both callbacks
+/// run at setup or at a rendezvous refresh, never per update.
+struct WeightSource {
+  /// The handle's lazily built kWeighted sampler, filled from `fixed()` on
+  /// the first weighted solve and reused by every later one.  Null for
+  /// paths that draw uniformly only.
+  std::optional<DirectionSampler>* cache = nullptr;
+  std::function<std::vector<double>()> fixed;
+  /// kResidual weights from the current iterate, with plain reads (see
+  /// row_residual_weights for when that is legal).
+  std::function<void(std::vector<double>&)> residual;
+};
+
+/// What a path reports that the pipeline cannot derive itself.
+struct PathFacts {
+  const char* name;       ///< description head, e.g. "AsyRGS block"
+  index_t directions;     ///< engine n: rows, columns, or permuted rows
+  StoragePolicy storage;  ///< policy of the matrix the kernels read
+  ScanMode scan;          ///< association the kernels execute
+  std::string shape = {};  ///< description before the sync mode
+  std::string note = {};   ///< description after the sampling note
+  int partitions = 0;
+  double steal_rate = 0.0;
+};
+
+template <class Matrix>
+constexpr StoragePolicy storage_of(const Matrix&) {
+  return Matrix::kStorage;
+}
+
+/// The one asynchronous solve pipeline behind every handle path.  A caller
+/// supplies what differs between paths: its facts, its weight source, its
+/// residual functor (`make_residual(workers)`), its kernel launcher
+/// (`launch.operator()<kAtomic, kScan>(workers, run)` hands `run` the
+/// update functor) and its plan factory.  The pipeline owns the rest: the
+/// team size, sampler setup, timing, status mapping, description and
+/// outcome fields.  The controls were validated at the entry point.
+template <class MakeResidual, class Launch, class MakePlan>
+SolveOutcome run_pipeline(const PipelineEnv& env,
+                          const SolveControls& controls,
+                          const PathFacts& path, const WeightSource& weights,
+                          MakeResidual&& make_residual, Launch&& launch,
+                          MakePlan&& make_plan) {
+  const index_t n = path.directions;
+  const int workers = clamp_workers(controls.workers, env.pool);
+  auto residual = make_residual(workers);
+
+  detail::EngineSampling sampling;
+  std::optional<DirectionSampler> residual_sampler;
+  if (controls.sampling == SamplingPolicy::kWeighted) {
+    std::optional<DirectionSampler>& cached = *weights.cache;
+    if (!cached) {
+      // Weights from the bound full-width matrix, so the distribution is
+      // independent of the storage policy the kernels run against.
+      const std::vector<double> w = weights.fixed();
+      cached.emplace(DirectionSampler::weighted(w.data(), n));
+      ++env.stats.sampler_builds;
+    }
+    sampling.sampler = &*cached;
+  } else if (controls.sampling == SamplingPolicy::kResidual) {
+    // Seed the table from the caller's initial iterate (deterministic
+    // input, so fixed-seed runs keep the multiset contract until the
+    // first refresh), then rebuild every resample_sweeps rendezvous.
+    std::vector<double> w;
+    weights.residual(w);
+    residual_sampler.emplace(DirectionSampler::residual(w.data(), n));
+    sampling.sampler = &*residual_sampler;
+    sampling.refresh = [&weights, sampler = &*residual_sampler,
+                        period = controls.resample_sweeps, w = std::move(w),
+                        calls = 0]() mutable {
+      if (++calls % period != 0) return;
+      weights.residual(w);
+      sampler->rebuild(w.data(), static_cast<index_t>(w.size()));
+    };
+  }
+
   SolveOutcome out;
-  const bool tolerance_active =
-      options.rel_tol > 0.0 && options.sync != SyncMode::kFreeRunning;
-  out.status = report.converged ? SolveStatus::kConverged
-               : tolerance_active ? SolveStatus::kToleranceNotReached
-                                  : SolveStatus::kBudgetCompleted;
-  out.iterations = report.sweeps_done;
-  out.updates = report.updates;
-  out.workers = report.workers;
-  out.relative_residual = report.final_relative_residual;
-  out.seconds = report.seconds;
-  out.scan_requested = options.scan;
-  out.scan_executed = report.scan_used;
-  out.residual_history = std::move(report.residual_history);
-  out.description = std::move(description);
+  // Free-running runs never evaluate residuals, so for them an unmet
+  // rel_tol is a completed budget; the engine upgrades either status to
+  // kConverged when the tolerance is met.
+  out.status = controls.rel_tol > 0.0 && controls.sync != SyncMode::kFreeRunning
+                   ? SolveStatus::kToleranceNotReached
+                   : SolveStatus::kBudgetCompleted;
+  WallTimer timer;
+  detail::dispatch_atomic_scan(
+      controls.atomic_writes, path.scan, [&]<bool kAtomic, ScanMode kScan>() {
+        launch.template operator()<kAtomic, kScan>(
+            workers, [&](const auto& update) {
+              detail::run_engine(env.pool, controls, n, workers, make_plan,
+                                 sampling, update, residual, out,
+                                 &env.scratch.engine);
+            });
+      });
+  out.seconds = timer.seconds();
+  if (residual_sampler)
+    env.stats.sampler_builds += residual_sampler->rebuilds();
+
+  out.workers = workers;
+  out.scan_requested = controls.scan;
+  out.scan_executed = path.scan;
+  out.storage_used = path.storage;
+  out.sampling_used = controls.sampling;
+  out.partitions_used = path.partitions;
+  out.steal_rate_used = path.steal_rate;
+  out.description = std::string(path.name) + ", " + std::to_string(workers) +
+                    " threads, " + path.shape + sync_name(controls.sync) +
+                    sampling_note(controls) + path.note;
+  if (path.storage != StoragePolicy::kInt64Double)
+    out.description +=
+        std::string(", ") + to_string(path.storage) + " storage";
   return out;
 }
 
+/// Kernel launcher of the single-RHS AsyRGS update, shared by the
+/// unpartitioned and partitioned paths (which differ only in the operator,
+/// the packed rhs and the iterate they hand it).
+template <class Matrix>
+auto single_rhs_launcher(const Matrix& a, const detail::RhsDiagPair* rhs_diag,
+                         double* x, double beta) {
+  return [&a, rhs_diag, x, beta]<bool kAtomic, ScanMode kScan>(int,
+                                                               auto&& run) {
+    run(detail::SingleRhsUpdate<kAtomic, kScan, typename Matrix::index_type,
+                                typename Matrix::value_type>{
+        a.row_ptr().data(), a.col_idx().data(), a.values().data(), rhs_diag,
+        x, beta});
+  };
+}
+
 }  // namespace
-
-namespace detail {
-
-AsyncRgsReport report_from_outcome(SolveOutcome&& out) {
-  AsyncRgsReport report;
-  report.sweeps_done = out.iterations;
-  report.updates = out.updates;
-  report.workers = out.workers;
-  report.seconds = out.seconds;
-  report.converged = out.status == SolveStatus::kConverged;
-  report.final_relative_residual = out.relative_residual;
-  report.residual_history = std::move(out.residual_history);
-  report.scan_used = out.scan_executed;
-  return report;
-}
-
-}  // namespace detail
-
-const char* to_string(SolveStatus status) noexcept {
-  switch (status) {
-    case SolveStatus::kConverged:
-      return "converged";
-    case SolveStatus::kToleranceNotReached:
-      return "tolerance-not-reached";
-    case SolveStatus::kBudgetCompleted:
-      return "budget-completed";
-    case SolveStatus::kRejected:
-      return "rejected";
-  }
-  return "?";
-}
 
 const char* to_string(StorageMode mode) noexcept {
   switch (mode) {
@@ -302,39 +398,6 @@ StoragePolicy resolve_storage_policy(StorageMode mode, index_t max_index,
   return StoragePolicy::kInt64Double;
 }
 
-SolveControls to_controls(const AsyncRgsOptions& options) {
-  SolveControls c;
-  c.method = SpdMethod::kAsyncRgs;
-  c.sweeps = options.sweeps;
-  c.step_size = options.step_size;
-  c.seed = options.seed;
-  c.workers = options.workers;
-  c.atomic_writes = options.atomic_writes;
-  c.sync = options.sync;
-  c.scope = options.scope;
-  c.scan = options.scan;
-  c.sync_interval_seconds = options.sync_interval_seconds;
-  c.track_history = options.track_history;
-  c.rel_tol = options.rel_tol;
-  return c;
-}
-
-AsyncRgsOptions to_async_rgs_options(const SolveControls& controls) {
-  AsyncRgsOptions o;
-  o.sweeps = controls.sweeps;
-  o.step_size = controls.step_size;
-  o.seed = controls.seed;
-  o.workers = controls.workers;
-  o.atomic_writes = controls.atomic_writes;
-  o.sync = controls.sync;
-  o.scope = controls.scope;
-  o.scan = controls.scan;
-  o.sync_interval_seconds = controls.sync_interval_seconds;
-  o.track_history = controls.track_history;
-  o.rel_tol = controls.rel_tol;
-  return o;
-}
-
 // --- SpdProblem --------------------------------------------------------------
 
 SpdProblem::SpdProblem(ThreadPool& pool, const CsrMatrix& a, bool check_input,
@@ -367,20 +430,14 @@ SpdProblem::SpdProblem(ThreadPool& pool, const CsrMatrix& a, bool check_input,
   bool fell_back = false;
   storage_ = resolve_storage_policy(storage, a.cols(), a.nnz(), &fell_back);
   if (fell_back) ++stats_.storage_fallbacks;
-  if (storage_ == StoragePolicy::kInt32Double)
-    a32_ = std::make_shared<const CsrMatrix32>(
-        convert_storage<std::int32_t, double>(a));
-  else if (storage_ == StoragePolicy::kInt32Mixed)
-    amixed_ = std::make_shared<const CsrMatrixMixed>(
-        convert_storage<std::int32_t, float>(a));
+  stored_ = detail::StoredMatrix(a, storage_);
   stats_.storage = storage_;
 }
 
 SpdProblem::SpdProblem(ThreadPool& pool, const SpdProblem& other)
     : pool_(pool),
       a_(other.a_),
-      a32_(other.a32_),
-      amixed_(other.amixed_),
+      stored_(other.stored_),
       storage_(other.storage_),
       inv_diag_(other.inv_diag_),
       scratch_(std::make_unique<detail::ProblemScratch>()) {
@@ -438,12 +495,8 @@ SolveOutcome SpdProblem::solve(const std::vector<double>& b,
                  ? SpdMethod::kAsyncRgs
                  : SpdMethod::kFcgAsyRgs;
   }
-  if (method != SpdMethod::kAsyncRgs)
-    require(controls.sampling == SamplingPolicy::kUniform,
-            "SpdProblem::solve: the Krylov methods draw no random "
-            "directions; sampling policies apply to the asynchronous "
-            "methods");
-  validate_partition_controls(controls, "SpdProblem::solve");
+  validate_controls(controls, "SpdProblem::solve",
+                    /*engine=*/method == SpdMethod::kAsyncRgs);
   if (controls.partitions != 0)
     require(method == SpdMethod::kAsyncRgs,
             "SpdProblem::solve: partitioned scheduling applies to the "
@@ -451,142 +504,50 @@ SolveOutcome SpdProblem::solve(const std::vector<double>& b,
             "kAsyncRgs)");
   SolveOutcome out =
       method != SpdMethod::kAsyncRgs ? solve_krylov(b, x, controls, method)
-      : controls.partitions != 0     ? solve_async_partitioned(b, x, controls)
-                                     : solve_async_single(b, x, controls);
+      : controls.partitions != 0     ? solve_partitioned(b, x, controls)
+                                     : solve_async(b, x, controls);
   out.method_used = method;
   ++stats_.solves;
   return out;
 }
 
-SolveOutcome SpdProblem::solve_async_single(const std::vector<double>& b,
-                                            std::vector<double>& x,
-                                            const SolveControls& controls) {
-  switch (storage_) {
-    case StoragePolicy::kInt32Double:
-      return solve_async_single_on(*a32_, b, x, controls);
-    case StoragePolicy::kInt32Mixed:
-      return solve_async_single_on(*amixed_, b, x, controls);
-    case StoragePolicy::kInt64Double:
-      break;
-  }
-  return solve_async_single_on(a_, b, x, controls);
-}
-
-template <class Matrix>
-SolveOutcome SpdProblem::solve_async_single_on(const Matrix& a,
-                                               const std::vector<double>& b,
-                                               std::vector<double>& x,
-                                               const SolveControls& controls) {
-  using Index = typename Matrix::index_type;
-  using Value = typename Matrix::value_type;
-  const AsyncRgsOptions options = to_async_rgs_options(controls);
-  validate_async_controls(options, "SpdProblem::solve");
-  validate_sampling_controls(controls, "SpdProblem::solve");
-  const index_t n = a.rows();
-  const double beta = options.step_size;
-  const int workers = clamp_workers(options.workers, pool_);
-
-  AsyncRgsReport report;
-  report.workers = workers;
-  report.scan_used = options.scan;
-
+SolveOutcome SpdProblem::solve_async(const std::vector<double>& b,
+                                     std::vector<double>& x,
+                                     const SolveControls& controls) {
   detail::pack_rhs_diag(b, inv_diag_, scratch_->rhs_diag);
-  detail::SingleRhsResidual residual(a, b, x.data(), workers,
-                                     scratch_->engine.reduce(workers));
-
-  detail::EngineSampling sampling;
-  std::optional<DirectionSampler> residual_sampler;
-  if (controls.sampling == SamplingPolicy::kWeighted) {
-    if (!weighted_sampler_) {
-      // Weights from the bound full-width matrix so the distribution is
-      // independent of the storage policy the kernels run against; built
-      // once per handle, reused by every later weighted solve.
-      const std::vector<double> w = detail::row_sq_norms(a_);
-      weighted_sampler_.emplace(DirectionSampler::weighted(w.data(), n));
-      ++stats_.sampler_builds;
-    }
-    sampling.sampler = &*weighted_sampler_;
-  } else if (controls.sampling == SamplingPolicy::kResidual) {
-    // Seed the table from the caller's initial iterate (deterministic
-    // input, so fixed-seed runs keep the multiset contract until the
-    // first refresh), then rebuild every resample_sweeps rendezvous.
-    std::vector<double> w;
-    row_residual_weights(a, b, x.data(), w);
-    residual_sampler.emplace(DirectionSampler::residual(w.data(), n));
-    sampling.sampler = &*residual_sampler;
-    const int period = std::max(1, controls.resample_sweeps);
-    DirectionSampler* const sampler = &*residual_sampler;
-    const double* const xp = x.data();
-    sampling.refresh = [&a, &b, xp, sampler, period, w = std::move(w),
-                        calls = 0]() mutable {
-      if (++calls % period != 0) return;
-      row_residual_weights(a, b, xp, w);
-      sampler->rebuild(w.data(), static_cast<index_t>(w.size()));
-    };
-  }
-
-  WallTimer timer;
-  detail::dispatch_atomic_scan(options, [&]<bool kAtomic, ScanMode kScan>() {
-    const detail::SingleRhsUpdate<kAtomic, kScan, Index, Value> update{
-        a.row_ptr().data(),        a.col_idx().data(), a.values().data(),
-        scratch_->rhs_diag.data(), x.data(),           beta};
-    detail::run_engine_sampled(pool_, options, n, workers, sampling, update,
-                               residual, report, &scratch_->engine);
-  });
-  report.seconds = timer.seconds();
-  if (residual_sampler)
-    stats_.sampler_builds += residual_sampler->rebuilds();
-
-  std::string description = std::string("AsyRGS, ") +
-                            std::to_string(workers) + " threads, " +
-                            sync_name(options.sync) + sampling_note(controls);
-  if constexpr (Matrix::kStorage != StoragePolicy::kInt64Double)
-    description += std::string(", ") + to_string(Matrix::kStorage) +
-                   " storage";
-  SolveOutcome out = outcome_from_report(std::move(report), options,
-                                         std::move(description));
-  out.storage_used = Matrix::kStorage;
-  out.sampling_used = controls.sampling;
-  return out;
+  return with_storage(
+      storage_,
+      [&](const auto& a) {
+        return run_pipeline(
+            PipelineEnv{pool_, *scratch_, stats_}, controls,
+            {.name = "AsyRGS",
+             .directions = a.rows(),
+             .storage = storage_of(a),
+             .scan = controls.scan},
+            WeightSource{&weighted_sampler_,
+                         [this] { return detail::row_sq_norms(a_); },
+                         [&](std::vector<double>& w) {
+                           row_residual_weights(a, b, x.data(), w);
+                         }},
+            [&](int workers) {
+              return detail::SingleRhsResidual(
+                  a, b, x.data(), workers, scratch_->engine.reduce(workers));
+            },
+            single_rhs_launcher(a, scratch_->rhs_diag.data(), x.data(),
+                                controls.step_size),
+            detail::direction_plans(controls, a.rows()));
+      },
+      stored_);
 }
 
-SolveOutcome SpdProblem::solve_async_partitioned(
-    const std::vector<double>& b, std::vector<double>& x,
-    const SolveControls& controls) {
+SolveOutcome SpdProblem::solve_partitioned(const std::vector<double>& b,
+                                           std::vector<double>& x,
+                                           const SolveControls& controls) {
   const detail::SpdPartitionState& st = partition_state();
-  switch (storage_) {
-    case StoragePolicy::kInt32Double:
-      return solve_async_partitioned_on(*st.a32, b, x, controls);
-    case StoragePolicy::kInt32Mixed:
-      return solve_async_partitioned_on(*st.amixed, b, x, controls);
-    case StoragePolicy::kInt64Double:
-      break;
-  }
-  return solve_async_partitioned_on(st.analysis.permuted(), b, x, controls);
-}
-
-template <class Matrix>
-SolveOutcome SpdProblem::solve_async_partitioned_on(
-    const Matrix& a, const std::vector<double>& b, std::vector<double>& x,
-    const SolveControls& controls) {
-  using Index = typename Matrix::index_type;
-  using Value = typename Matrix::value_type;
-  const detail::SpdPartitionState& st = *partition_;
-  const AsyncRgsOptions options = to_async_rgs_options(controls);
-  validate_async_controls(options, "SpdProblem::solve");
-  const index_t n = a.rows();
-  const double beta = options.step_size;
-  const int workers = clamp_workers(options.workers, pool_);
-
   // The cut is partition-count-keyed and cached on the analysis; the clamp
   // to [1, n] happens inside and is surfaced via partitions_used.
   const std::shared_ptr<const GraphPartition> cut =
       st.analysis.cut(controls.partitions);
-  const int partitions = cut->count();
-
-  AsyncRgsReport report;
-  report.workers = workers;
-  report.scan_used = options.scan;
 
   // Permute the problem into RCM space: xp[i] = x[perm[i]], bp likewise.
   // The engine then runs entirely on the permuted operator, with the
@@ -603,50 +564,45 @@ SolveOutcome SpdProblem::solve_async_partitioned_on(
     xp[i] = x[o];
     bp[i] = b[o];
   }
-
   detail::pack_rhs_diag(bp, st.inv_diag, scratch_->rhs_diag);
-  // The residual norm is permutation-invariant, so evaluating it on the
-  // permuted system reports exactly the metric the unpartitioned path
-  // would.
-  detail::SingleRhsResidual residual(a, bp, xp.data(), workers,
-                                     scratch_->engine.reduce(workers));
-
-  WallTimer timer;
-  detail::dispatch_atomic_scan(options, [&]<bool kAtomic, ScanMode kScan>() {
-    const detail::SingleRhsUpdate<kAtomic, kScan, Index, Value> update{
-        a.row_ptr().data(),        a.col_idx().data(), a.values().data(),
-        scratch_->rhs_diag.data(), xp.data(),          beta};
-    detail::run_engine_with_plan(
-        pool_, options, n, workers,
-        [&](int team) {
-          return detail::PartitionedDirectionPlan(options.seed, *cut,
-                                                  controls.steal_rate, team);
-        },
-        /*refresh=*/std::function<void()>{}, update, residual, report,
-        &scratch_->engine);
-  });
-  report.seconds = timer.seconds();
-
-  for (std::size_t i = 0; i < b.size(); ++i)
-    x[static_cast<std::size_t>(perm[i])] = xp[i];
 
   std::string steal = std::to_string(controls.steal_rate);
   // Trim to the informative digits (to_string pads to 6 decimals).
   while (steal.size() > 1 && steal.back() == '0') steal.pop_back();
   if (!steal.empty() && steal.back() == '.') steal.pop_back();
-  std::string description =
-      std::string("AsyRGS, ") + std::to_string(workers) + " threads, " +
-      sync_name(options.sync) + ", " + std::to_string(partitions) +
-      " partitions (RCM, steal " + steal + ")";
-  if constexpr (Matrix::kStorage != StoragePolicy::kInt64Double)
-    description += std::string(", ") + to_string(Matrix::kStorage) +
-                   " storage";
-  SolveOutcome out = outcome_from_report(std::move(report), options,
-                                         std::move(description));
-  out.storage_used = Matrix::kStorage;
-  out.sampling_used = controls.sampling;
-  out.partitions_used = partitions;
-  out.steal_rate_used = controls.steal_rate;
+
+  SolveOutcome out = with_storage(
+      storage_,
+      [&](const auto& a) {
+        return run_pipeline(
+            PipelineEnv{pool_, *scratch_, stats_}, controls,
+            {.name = "AsyRGS",
+             .directions = a.rows(),
+             .storage = storage_of(a),
+             .scan = controls.scan,
+             .note = ", " + std::to_string(cut->count()) +
+                     " partitions (RCM, steal " + steal + ")",
+             .partitions = cut->count(),
+             .steal_rate = controls.steal_rate},
+            WeightSource{},
+            // The residual norm is permutation-invariant, so evaluating it
+            // on the permuted system reports exactly the metric the
+            // unpartitioned path would.
+            [&](int workers) {
+              return detail::SingleRhsResidual(
+                  a, bp, xp.data(), workers, scratch_->engine.reduce(workers));
+            },
+            single_rhs_launcher(a, scratch_->rhs_diag.data(), xp.data(),
+                                controls.step_size),
+            [&](int team, const DirectionSampler*) {
+              return detail::PartitionedDirectionPlan(
+                  controls.seed, *cut, controls.steal_rate, team);
+            });
+      },
+      st.permuted);
+
+  for (std::size_t i = 0; i < b.size(); ++i)
+    x[static_cast<std::size_t>(perm[i])] = xp[i];
   return out;
 }
 
@@ -710,158 +666,90 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
               controls.method == SpdMethod::kAsyncRgs,
           "SpdProblem::solve(block): only the asynchronous method supports "
           "block right-hand sides");
-  validate_sampling_controls(controls, "SpdProblem::solve(block)",
-                             /*residual_ok=*/false);
-  validate_partition_controls(controls, "SpdProblem::solve(block)");
+  validate_controls(controls, "SpdProblem::solve(block)", /*engine=*/true,
+                    /*residual_ok=*/false);
   require(controls.partitions == 0,
           "SpdProblem::solve(block): partitioned scheduling is "
           "single-right-hand-side only");
-  SolveOutcome out;
-  switch (storage_) {
-    case StoragePolicy::kInt32Double:
-      out = solve_block_on(*a32_, b, x, controls);
-      break;
-    case StoragePolicy::kInt32Mixed:
-      out = solve_block_on(*amixed_, b, x, controls);
-      break;
-    case StoragePolicy::kInt64Double:
-      out = solve_block_on(a_, b, x, controls);
-      break;
-  }
+  const index_t k = b.cols();
+  const double beta = controls.step_size;
+  // At k <= 4 the whole gamma state fits in registers, so the reassociated
+  // request is honoured by the small-K kernel; wider blocks keep the pinned
+  // column-parallel kernel (and the downgrade stays surfaced).
+  const bool downgraded = controls.scan == ScanMode::kReassociated && k > 4;
+
+  SolveOutcome out = with_storage(
+      storage_,
+      [&](const auto& a) {
+        using Matrix = std::decay_t<decltype(a)>;
+        using Index = typename Matrix::index_type;
+        using Value = typename Matrix::value_type;
+        auto launch = [&]<bool kAtomic, ScanMode kScan>(int workers,
+                                                        auto&& run) {
+          if constexpr (kScan == ScanMode::kReassociated) {
+            switch (k) {
+              case 1:
+                run(detail::BlockRhsUpdateSmallK<kAtomic, 1, Index, Value>{
+                    &a, &b, &x, inv_diag_.data(), beta});
+                break;
+              case 2:
+                run(detail::BlockRhsUpdateSmallK<kAtomic, 2, Index, Value>{
+                    &a, &b, &x, inv_diag_.data(), beta});
+                break;
+              case 3:
+                run(detail::BlockRhsUpdateSmallK<kAtomic, 3, Index, Value>{
+                    &a, &b, &x, inv_diag_.data(), beta});
+                break;
+              default:
+                run(detail::BlockRhsUpdateSmallK<kAtomic, 4, Index, Value>{
+                    &a, &b, &x, inv_diag_.data(), beta});
+                break;
+            }
+          } else {
+            // Per-worker gamma scratch in one aligned slab, strided to
+            // whole cache lines with a guard line between workers: adjacent
+            // heap allocations here would false-share and destroy
+            // block-solve scaling.
+            const std::size_t doubles_per_line =
+                kCacheLineBytes / sizeof(double);
+            const std::size_t stride =
+                ((static_cast<std::size_t>(k) + doubles_per_line - 1) /
+                 doubles_per_line) *
+                    doubles_per_line +
+                doubles_per_line;
+            double* const gamma = scratch_->engine.slab(workers, stride);
+            run(detail::BlockRhsUpdate<kAtomic, Index, Value>{
+                &a, &b, &x, inv_diag_.data(), beta, gamma, stride});
+          }
+        };
+        return run_pipeline(
+            PipelineEnv{pool_, *scratch_, stats_}, controls,
+            {.name = "AsyRGS block",
+             .directions = a.rows(),
+             .storage = storage_of(a),
+             .scan = downgraded ? ScanMode::kPinned : controls.scan,
+             .shape = std::to_string(k) + " rhs, ",
+             .note = downgraded
+                         ? "; reassociated scan requested but blocks wider "
+                           "than 4 right-hand sides run the pinned "
+                           "column-parallel scan"
+                         : ""},
+            WeightSource{&weighted_sampler_,
+                         [this] { return detail::row_sq_norms(a_); },
+                         {}},
+            [&](int workers) {
+              return detail::BlockResidual(a, b, x, workers,
+                                           scratch_->engine.reduce(workers));
+            },
+            launch, detail::direction_plans(controls, a.rows()));
+      },
+      stored_);
   out.method_used = SpdMethod::kAsyncRgs;
   ++stats_.solves;
   return out;
 }
 
-template <class Matrix>
-SolveOutcome SpdProblem::solve_block_on(const Matrix& a, const MultiVector& b,
-                                        MultiVector& x,
-                                        const SolveControls& controls) {
-  using Index = typename Matrix::index_type;
-  using Value = typename Matrix::value_type;
-  const AsyncRgsOptions options = to_async_rgs_options(controls);
-  validate_async_controls(options, "SpdProblem::solve(block)");
-  const index_t n = a.rows();
-  const index_t k = b.cols();
-  const double beta = options.step_size;
-  const int workers = clamp_workers(options.workers, pool_);
-
-  // At k <= 4 the whole gamma state fits in registers, so the reassociated
-  // request is honoured by the small-K kernel; wider blocks keep the pinned
-  // column-parallel kernel (and the downgrade stays surfaced).
-  const bool reassociated =
-      options.scan == ScanMode::kReassociated && k <= 4;
-
-  AsyncRgsReport report;
-  report.workers = workers;
-  report.scan_used =
-      reassociated ? ScanMode::kReassociated : ScanMode::kPinned;
-
-  detail::BlockResidual residual(a, b, x, workers,
-                                 scratch_->engine.reduce(workers));
-
-  detail::EngineSampling sampling;
-  if (controls.sampling == SamplingPolicy::kWeighted) {
-    if (!weighted_sampler_) {
-      const std::vector<double> w = detail::row_sq_norms(a_);
-      weighted_sampler_.emplace(DirectionSampler::weighted(w.data(), n));
-      ++stats_.sampler_builds;
-    }
-    sampling.sampler = &*weighted_sampler_;
-  }
-
-  WallTimer timer;
-  if (reassociated) {
-    auto launch = [&]<bool kAtomic>() {
-      auto run = [&](auto update) {
-        detail::run_engine_sampled(pool_, options, n, workers, sampling,
-                                   update, residual, report,
-                                   &scratch_->engine);
-      };
-      switch (k) {
-        case 1:
-          run(detail::BlockRhsUpdateSmallK<kAtomic, 1, Index, Value>{
-              &a, &b, &x, inv_diag_.data(), beta});
-          break;
-        case 2:
-          run(detail::BlockRhsUpdateSmallK<kAtomic, 2, Index, Value>{
-              &a, &b, &x, inv_diag_.data(), beta});
-          break;
-        case 3:
-          run(detail::BlockRhsUpdateSmallK<kAtomic, 3, Index, Value>{
-              &a, &b, &x, inv_diag_.data(), beta});
-          break;
-        default:
-          run(detail::BlockRhsUpdateSmallK<kAtomic, 4, Index, Value>{
-              &a, &b, &x, inv_diag_.data(), beta});
-          break;
-      }
-    };
-    if (options.atomic_writes)
-      launch.template operator()<true>();
-    else
-      launch.template operator()<false>();
-  } else {
-    // Per-worker gamma scratch in one aligned slab, strided to whole cache
-    // lines with a guard line between workers: adjacent heap allocations
-    // here would false-share and destroy block-solve scaling.
-    const std::size_t doubles_per_line = kCacheLineBytes / sizeof(double);
-    const std::size_t stride =
-        ((static_cast<std::size_t>(k) + doubles_per_line - 1) /
-         doubles_per_line) *
-            doubles_per_line +
-        doubles_per_line;
-    double* const gamma = scratch_->engine.slab(workers, stride);
-    if (options.atomic_writes) {
-      const detail::BlockRhsUpdate<true, Index, Value> update{
-          &a, &b, &x, inv_diag_.data(), beta, gamma, stride};
-      detail::run_engine_sampled(pool_, options, n, workers, sampling, update,
-                                 residual, report, &scratch_->engine);
-    } else {
-      const detail::BlockRhsUpdate<false, Index, Value> update{
-          &a, &b, &x, inv_diag_.data(), beta, gamma, stride};
-      detail::run_engine_sampled(pool_, options, n, workers, sampling, update,
-                                 residual, report, &scratch_->engine);
-    }
-  }
-  report.seconds = timer.seconds();
-
-  std::string description = std::string("AsyRGS block, ") +
-                            std::to_string(workers) + " threads, " +
-                            std::to_string(k) + " rhs, " +
-                            sync_name(options.sync) + sampling_note(controls);
-  if (options.scan == ScanMode::kReassociated && !reassociated)
-    description += "; reassociated scan requested but blocks wider than 4 "
-                   "right-hand sides run the pinned column-parallel scan";
-  if constexpr (Matrix::kStorage != StoragePolicy::kInt64Double)
-    description += std::string(", ") + to_string(Matrix::kStorage) +
-                   " storage";
-  SolveOutcome out = outcome_from_report(std::move(report), options,
-                                         std::move(description));
-  out.storage_used = Matrix::kStorage;
-  out.sampling_used = controls.sampling;
-  return out;
-}
-
 // --- LsqProblem --------------------------------------------------------------
-
-namespace {
-
-/// Builds the compact (A, A^T) pair for a resolved least-squares policy.
-/// Both operands narrow or neither: the update kernel walks rows of A and
-/// rows of A^T in one pass, and mixing widths there would force per-access
-/// dispatch.
-template <class Index, class Value>
-void narrow_lsq_pair(const CsrMatrix& a, const CsrMatrix& at,
-                     std::shared_ptr<const CsrMatrixT<Index, Value>>& a_out,
-                     std::shared_ptr<const CsrMatrixT<Index, Value>>& at_out) {
-  a_out = std::make_shared<const CsrMatrixT<Index, Value>>(
-      convert_storage<Index, Value>(a));
-  at_out = std::make_shared<const CsrMatrixT<Index, Value>>(
-      convert_storage<Index, Value>(at));
-}
-
-}  // namespace
 
 LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
                        StorageMode storage)
@@ -872,29 +760,7 @@ LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
   at_holder_ = a.transpose_shared(&built_now);
   at_ = at_holder_.get();
   if (built_now) ++stats_.transpose_builds;
-  col_sq_ = detail::column_sq_norms(*at_);
-  for (double s : col_sq_)
-    require(s > 0.0, "LsqProblem: zero column (A must have full rank)");
-  // Kaczmarz prepare-time analysis: squared row norms double as the
-  // Strohmer-Vershynin sampling weights and (reciprocated) as the row
-  // projection denominators.  Zero rows are legal — their weight is 0 and
-  // their inverse is 0, so the row is never preferred and its update no-ops.
-  row_sq_ = detail::row_sq_norms(a);
-  inv_row_sq_.resize(row_sq_.size());
-  for (std::size_t i = 0; i < row_sq_.size(); ++i)
-    inv_row_sq_[i] = row_sq_[i] > 0.0 ? 1.0 / row_sq_[i] : 0.0;
-  ++stats_.validation_passes;
-  // A^T's column indices are row indices of A, so narrowing must fit the
-  // larger of the two dimensions.
-  bool fell_back = false;
-  storage_ = resolve_storage_policy(storage, std::max(a.rows(), a.cols()),
-                                    a.nnz(), &fell_back);
-  if (fell_back) ++stats_.storage_fallbacks;
-  if (storage_ == StoragePolicy::kInt32Double)
-    narrow_lsq_pair<std::int32_t, double>(a, *at_, a32_, at32_);
-  else if (storage_ == StoragePolicy::kInt32Mixed)
-    narrow_lsq_pair<std::int32_t, float>(a, *at_, amixed_, atmixed_);
-  stats_.storage = storage_;
+  prepare(storage);
 }
 
 LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
@@ -905,26 +771,30 @@ LsqProblem::LsqProblem(ThreadPool& pool, const CsrMatrix& a,
       scratch_(std::make_unique<detail::ProblemScratch>()) {
   require(at.rows() == a.cols() && at.cols() == a.rows(),
           "LsqProblem: `at` must be the transpose of `a`");
-  col_sq_ = detail::column_sq_norms(at);
+  prepare(storage);
+}
+
+void LsqProblem::prepare(StorageMode storage) {
+  col_sq_ = detail::column_sq_norms(*at_);
   for (double s : col_sq_)
     require(s > 0.0, "LsqProblem: zero column (A must have full rank)");
   // Kaczmarz prepare-time analysis: squared row norms double as the
   // Strohmer-Vershynin sampling weights and (reciprocated) as the row
   // projection denominators.  Zero rows are legal — their weight is 0 and
   // their inverse is 0, so the row is never preferred and its update no-ops.
-  row_sq_ = detail::row_sq_norms(a);
+  row_sq_ = detail::row_sq_norms(a_);
   inv_row_sq_.resize(row_sq_.size());
   for (std::size_t i = 0; i < row_sq_.size(); ++i)
     inv_row_sq_[i] = row_sq_[i] > 0.0 ? 1.0 / row_sq_[i] : 0.0;
   ++stats_.validation_passes;
+  // A^T's column indices are row indices of A, so narrowing must fit the
+  // larger of the two dimensions.
   bool fell_back = false;
-  storage_ = resolve_storage_policy(storage, std::max(a.rows(), a.cols()),
-                                    a.nnz(), &fell_back);
+  storage_ = resolve_storage_policy(storage, std::max(a_.rows(), a_.cols()),
+                                    a_.nnz(), &fell_back);
   if (fell_back) ++stats_.storage_fallbacks;
-  if (storage_ == StoragePolicy::kInt32Double)
-    narrow_lsq_pair<std::int32_t, double>(a, at, a32_, at32_);
-  else if (storage_ == StoragePolicy::kInt32Mixed)
-    narrow_lsq_pair<std::int32_t, float>(a, at, amixed_, atmixed_);
+  stored_a_ = detail::StoredMatrix(a_, storage_);
+  stored_at_ = detail::StoredMatrix(*at_, storage_);
   stats_.storage = storage_;
 }
 
@@ -933,10 +803,8 @@ LsqProblem::LsqProblem(ThreadPool& pool, const LsqProblem& other)
       a_(other.a_),
       at_holder_(other.at_holder_),
       at_(other.at_),
-      a32_(other.a32_),
-      at32_(other.at32_),
-      amixed_(other.amixed_),
-      atmixed_(other.atmixed_),
+      stored_a_(other.stored_a_),
+      stored_at_(other.stored_at_),
       storage_(other.storage_),
       col_sq_(other.col_sq_),
       row_sq_(other.row_sq_),
@@ -968,186 +836,80 @@ SolveOutcome LsqProblem::solve(const std::vector<double>& b,
           "LsqProblem::solve: least squares is served by the asynchronous "
           "methods (kAsyncRgs coordinate descent or kAsyncKaczmarz row "
           "action)");
-  validate_partition_controls(controls, "LsqProblem::solve");
+  const bool kaczmarz = controls.method == SpdMethod::kAsyncKaczmarz;
+  validate_controls(controls,
+                    kaczmarz ? "LsqProblem::solve(kaczmarz)"
+                             : "LsqProblem::solve",
+                    /*engine=*/true);
   require(controls.partitions == 0,
           "LsqProblem::solve: partitioned scheduling is served by "
           "SpdProblem (it partitions a symmetric operator's graph)");
-  const bool kaczmarz = controls.method == SpdMethod::kAsyncKaczmarz;
-  SolveOutcome out;
-  switch (storage_) {
-    case StoragePolicy::kInt32Double:
-      out = kaczmarz ? solve_kaczmarz_on(*a32_, *at32_, b, x, controls)
-                     : solve_on(*a32_, *at32_, b, x, controls);
-      break;
-    case StoragePolicy::kInt32Mixed:
-      out = kaczmarz ? solve_kaczmarz_on(*amixed_, *atmixed_, b, x, controls)
-                     : solve_on(*amixed_, *atmixed_, b, x, controls);
-      break;
-    case StoragePolicy::kInt64Double:
-      out = kaczmarz ? solve_kaczmarz_on(a_, *at_, b, x, controls)
-                     : solve_on(a_, *at_, b, x, controls);
-      break;
-  }
+  const double beta = controls.step_size;
+
+  SolveOutcome out = with_storage(
+      storage_,
+      [&](const auto& a, const auto& at) {
+        using Matrix = std::decay_t<decltype(a)>;
+        using Index = typename Matrix::index_type;
+        using Value = typename Matrix::value_type;
+        const PipelineEnv env{pool_, *scratch_, stats_};
+        // Both methods report the normal-equations metric, so their
+        // outcomes are directly comparable (and inconsistent systems —
+        // where ||b - Ax|| cannot reach zero — still report a meaningful
+        // residual).
+        const auto residual = [&](int workers) {
+          const bool check = controls.track_history || controls.rel_tol > 0.0;
+          double* const r =
+              check ? scratch_->engine.dense(static_cast<std::size_t>(a.rows()))
+                    : nullptr;
+          return detail::LsqResidual(a, at, b, x.data(), workers,
+                                     scratch_->engine.reduce(workers), r,
+                                     check);
+        };
+        if (kaczmarz) {
+          // Directions are the ROWS of A (one sweep = m row projections),
+          // weighted by the Strohmer-Vershynin p_i ∝ ||A_i||^2.
+          return run_pipeline(
+              env, controls,
+              {.name = "AsyKaczmarz least squares",
+               .directions = a.rows(),
+               .storage = storage_of(a),
+               .scan = controls.scan},
+              WeightSource{&weighted_rows_, [this] { return row_sq_; },
+                           [&](std::vector<double>& w) {
+                             row_residual_weights(a, b, x.data(), w);
+                           }},
+              residual,
+              [&]<bool kAtomic, ScanMode kScan>(int, auto&& run) {
+                run(detail::KaczmarzUpdate<kAtomic, kScan, Index, Value>{
+                    a.row_ptr().data(), a.col_idx().data(), a.values().data(),
+                    b.data(), inv_row_sq_.data(), x.data(), beta});
+              },
+              detail::direction_plans(controls, a.rows()));
+        }
+        // Coordinate descent: directions are the columns of A.
+        return run_pipeline(
+            env, controls,
+            {.name = "AsyRCD least squares",
+             .directions = a.cols(),
+             .storage = storage_of(a),
+             .scan = controls.scan},
+            WeightSource{&weighted_cols_, [this] { return col_sq_; },
+                         [&, r = std::vector<double>()](
+                             std::vector<double>& w) mutable {
+                           col_residual_weights(a, at, b, x.data(), r, w);
+                         }},
+            residual,
+            [&]<bool kAtomic, ScanMode kScan>(int, auto&& run) {
+              run(detail::LsqUpdate<kAtomic, kScan, Index, Value>{
+                  &a, &at, b.data(), col_sq_.data(), x.data(), beta});
+            },
+            detail::direction_plans(controls, a.cols()));
+      },
+      stored_a_, stored_at_);
   out.method_used =
       kaczmarz ? SpdMethod::kAsyncKaczmarz : SpdMethod::kAsyncRgs;
   ++stats_.solves;
-  return out;
-}
-
-template <class Matrix>
-SolveOutcome LsqProblem::solve_on(const Matrix& a, const Matrix& at,
-                                  const std::vector<double>& b,
-                                  std::vector<double>& x,
-                                  const SolveControls& controls) {
-  using Index = typename Matrix::index_type;
-  using Value = typename Matrix::value_type;
-  const AsyncRgsOptions options = to_async_rgs_options(controls);
-  validate_async_controls(options, "LsqProblem::solve");
-  validate_sampling_controls(controls, "LsqProblem::solve");
-  const index_t n = a.cols();
-  const double beta = options.step_size;
-  const int workers = clamp_workers(options.workers, pool_);
-
-  AsyncRgsReport report;
-  report.workers = workers;
-  report.scan_used = options.scan;
-
-  const bool check = options.track_history || options.rel_tol > 0.0;
-  double* const r =
-      check ? scratch_->engine.dense(static_cast<std::size_t>(a.rows()))
-            : nullptr;
-  detail::LsqResidual residual(a, at, b, x.data(), workers,
-                               scratch_->engine.reduce(workers), r, check);
-
-  detail::EngineSampling sampling;
-  std::optional<DirectionSampler> residual_sampler;
-  if (controls.sampling == SamplingPolicy::kWeighted) {
-    if (!weighted_cols_) {
-      // Coordinate-descent weights: the column squared norms already
-      // computed (full-width) at preparation.
-      weighted_cols_.emplace(DirectionSampler::weighted(col_sq_.data(), n));
-      ++stats_.sampler_builds;
-    }
-    sampling.sampler = &*weighted_cols_;
-  } else if (controls.sampling == SamplingPolicy::kResidual) {
-    std::vector<double> rbuf, w;
-    col_residual_weights(a, at, b, x.data(), rbuf, w);
-    residual_sampler.emplace(DirectionSampler::residual(w.data(), n));
-    sampling.sampler = &*residual_sampler;
-    const int period = std::max(1, controls.resample_sweeps);
-    DirectionSampler* const sampler = &*residual_sampler;
-    const double* const xp = x.data();
-    sampling.refresh = [&a, &at, &b, xp, sampler, period,
-                        rbuf = std::move(rbuf), w = std::move(w),
-                        calls = 0]() mutable {
-      if (++calls % period != 0) return;
-      col_residual_weights(a, at, b, xp, rbuf, w);
-      sampler->rebuild(w.data(), static_cast<index_t>(w.size()));
-    };
-  }
-
-  WallTimer timer;
-  detail::dispatch_atomic_scan(options, [&]<bool kAtomic, ScanMode kScan>() {
-    const detail::LsqUpdate<kAtomic, kScan, Index, Value> update{
-        &a, &at, b.data(), col_sq_.data(), x.data(), beta};
-    detail::run_engine_sampled(pool_, options, n, workers, sampling, update,
-                               residual, report, &scratch_->engine);
-  });
-  report.seconds = timer.seconds();
-  if (residual_sampler)
-    stats_.sampler_builds += residual_sampler->rebuilds();
-
-  std::string description = std::string("AsyRCD least squares, ") +
-                            std::to_string(workers) + " threads, " +
-                            sync_name(options.sync) + sampling_note(controls);
-  if constexpr (Matrix::kStorage != StoragePolicy::kInt64Double)
-    description += std::string(", ") + to_string(Matrix::kStorage) +
-                   " storage";
-  SolveOutcome out = outcome_from_report(std::move(report), options,
-                                         std::move(description));
-  out.storage_used = Matrix::kStorage;
-  out.sampling_used = controls.sampling;
-  return out;
-}
-
-template <class Matrix>
-SolveOutcome LsqProblem::solve_kaczmarz_on(const Matrix& a, const Matrix& at,
-                                           const std::vector<double>& b,
-                                           std::vector<double>& x,
-                                           const SolveControls& controls) {
-  using Index = typename Matrix::index_type;
-  using Value = typename Matrix::value_type;
-  const AsyncRgsOptions options = to_async_rgs_options(controls);
-  validate_async_controls(options, "LsqProblem::solve(kaczmarz)");
-  validate_sampling_controls(controls, "LsqProblem::solve(kaczmarz)");
-  // Directions are the ROWS of A (one sweep = m row projections), unlike
-  // coordinate descent whose directions are columns.
-  const index_t m = a.rows();
-  const double beta = options.step_size;
-  const int workers = clamp_workers(options.workers, pool_);
-
-  AsyncRgsReport report;
-  report.workers = workers;
-  report.scan_used = options.scan;
-
-  // Same normal-equations metric as coordinate descent, so outcomes of the
-  // two methods are directly comparable (and inconsistent systems — where
-  // ||b - Ax|| cannot reach zero — still report a meaningful residual).
-  const bool check = options.track_history || options.rel_tol > 0.0;
-  double* const r =
-      check ? scratch_->engine.dense(static_cast<std::size_t>(a.rows()))
-            : nullptr;
-  detail::LsqResidual residual(a, at, b, x.data(), workers,
-                               scratch_->engine.reduce(workers), r, check);
-
-  detail::EngineSampling sampling;
-  std::optional<DirectionSampler> residual_sampler;
-  if (controls.sampling == SamplingPolicy::kWeighted) {
-    if (!weighted_rows_) {
-      // The Strohmer-Vershynin distribution p_i ∝ ||A_i||^2, from the
-      // prepare-time norms of the full-width matrix.
-      weighted_rows_.emplace(DirectionSampler::weighted(row_sq_.data(), m));
-      ++stats_.sampler_builds;
-    }
-    sampling.sampler = &*weighted_rows_;
-  } else if (controls.sampling == SamplingPolicy::kResidual) {
-    std::vector<double> w;
-    row_residual_weights(a, b, x.data(), w);
-    residual_sampler.emplace(DirectionSampler::residual(w.data(), m));
-    sampling.sampler = &*residual_sampler;
-    const int period = std::max(1, controls.resample_sweeps);
-    DirectionSampler* const sampler = &*residual_sampler;
-    const double* const xp = x.data();
-    sampling.refresh = [&a, &b, xp, sampler, period, w = std::move(w),
-                        calls = 0]() mutable {
-      if (++calls % period != 0) return;
-      row_residual_weights(a, b, xp, w);
-      sampler->rebuild(w.data(), static_cast<index_t>(w.size()));
-    };
-  }
-
-  WallTimer timer;
-  detail::dispatch_atomic_scan(options, [&]<bool kAtomic, ScanMode kScan>() {
-    const detail::KaczmarzUpdate<kAtomic, kScan, Index, Value> update{
-        a.row_ptr().data(), a.col_idx().data(), a.values().data(), b.data(),
-        inv_row_sq_.data(), x.data(),           beta};
-    detail::run_engine_sampled(pool_, options, m, workers, sampling, update,
-                               residual, report, &scratch_->engine);
-  });
-  report.seconds = timer.seconds();
-  if (residual_sampler)
-    stats_.sampler_builds += residual_sampler->rebuilds();
-
-  std::string description = std::string("AsyKaczmarz least squares, ") +
-                            std::to_string(workers) + " threads, " +
-                            sync_name(options.sync) + sampling_note(controls);
-  if constexpr (Matrix::kStorage != StoragePolicy::kInt64Double)
-    description += std::string(", ") + to_string(Matrix::kStorage) +
-                   " storage";
-  SolveOutcome out = outcome_from_report(std::move(report), options,
-                                         std::move(description));
-  out.storage_used = Matrix::kStorage;
-  out.sampling_used = controls.sampling;
   return out;
 }
 

@@ -12,13 +12,14 @@
 //                             cached analysis + reusable solver scratch
 //   SolveControls             per-call knobs: method, tolerance, seed,
 //                             workers, sync/scope/scan, step size
-//   SolveOutcome              unified structured result (SolveStatus enum
-//                             instead of per-solver bool/string shapes)
+//   SolveOutcome              structured result (SolveStatus enum)
 //
-// The legacy free functions (async_rgs_solve, async_lsq_solve, solve_spd,
-// ...) remain available and are thin wrappers constructing a temporary
-// handle — identical arithmetic, so equal-seed pinned-scan runs through
-// either interface are bit-identical.
+// SolveControls and SolveOutcome (core/async_rgs.hpp) are the only per-call
+// input and output of every solver entry point.  The one-shot free
+// functions (async_rgs_solve, async_lsq_solve, solve_spd, ...) take and
+// return them too and are thin wrappers constructing a temporary handle —
+// identical arithmetic, so equal-seed pinned-scan runs through either
+// interface are bit-identical.
 //
 // Thread-safety: a handle's prepared state is immutable after construction
 // and its mutable scratch is guarded by an internal (recursive) mutex —
@@ -42,45 +43,6 @@
 #include "asyrgs/support/thread_pool.hpp"
 
 namespace asyrgs {
-
-/// Solution strategy for SPD problems (kAuto picks by accuracy target: plain
-/// AsyRGS in the low-accuracy regime where basic iterations shine, AsyRGS as
-/// a flexible-CG preconditioner when high accuracy is sought — the paper's
-/// Section 9 guidance).
-enum class SpdMethod {
-  kAuto,      ///< pick by accuracy target (see SpdProblem::solve docs)
-  kAsyncRgs,  ///< asynchronous randomized Gauss-Seidel
-  kFcgAsyRgs, ///< flexible CG preconditioned by AsyRGS
-  kCg,        ///< plain conjugate gradients (synchronous baseline)
-  /// Asynchronous row-action Kaczmarz on the shared engine: directions are
-  /// rows, each update projects x onto its row's hyperplane (relaxed by
-  /// beta).  Served by LsqProblem — it needs no symmetry and handles
-  /// rectangular and inconsistent systems; SpdProblem::solve rejects it
-  /// with a pointer there.
-  kAsyncKaczmarz,
-};
-
-/// How a solve ended — the structured replacement for the per-solver
-/// `bool converged` / description-string conventions.
-enum class SolveStatus {
-  /// The requested relative-residual tolerance was reached.
-  kConverged,
-  /// A tolerance was requested (rel_tol > 0 under a synchronizing mode, or
-  /// a Krylov method) but the iteration budget ran out first.
-  kToleranceNotReached,
-  /// The fixed iteration budget ran to completion with no tolerance in
-  /// play (free-running asynchronous runs, or rel_tol == 0).
-  kBudgetCompleted,
-  /// The request never ran: a serving layer declined it (queue at
-  /// ServiceOptions::max_queue, submit racing shutdown, or a deadline that
-  /// expired while queued).  Direct handle solves never produce this; the
-  /// ticket's `description` names the reason.  See serve/service.hpp.
-  kRejected,
-};
-
-/// Human-readable status name ("converged", "tolerance-not-reached",
-/// "budget-completed", "rejected").
-[[nodiscard]] const char* to_string(SolveStatus status) noexcept;
 
 /// Requested CSR storage policy for a prepared handle, resolved once at
 /// construction (see resolve_storage_policy for the exact rules).  The
@@ -120,112 +82,19 @@ enum class StorageMode {
     StorageMode mode, index_t max_index, nnz_t nnz,
     bool* fell_back = nullptr) noexcept;
 
-/// Per-call knobs for a prepared handle, deliberately separated from the
-/// per-problem state (matrix, pool, validation policy) bound at handle
-/// construction.  Field-for-field compatible with AsyncRgsOptions for the
-/// asynchronous methods — see to_controls / to_async_rgs_options.
-struct SolveControls {
-  /// Solution strategy.  LsqProblem accepts kAuto/kAsyncRgs (randomized
-  /// coordinate descent) and kAsyncKaczmarz (row action); SpdProblem
-  /// accepts everything but kAsyncKaczmarz.
-  SpdMethod method = SpdMethod::kAuto;
-  /// Sweep budget for the asynchronous/randomized methods (one sweep = n
-  /// coordinate updates across the team).
-  int sweeps = 10;
-  /// Outer-iteration cap for the Krylov methods (kCg / kFcgAsyRgs);
-  /// 0 = auto (10000).
-  int max_iterations = 0;
-  double step_size = 1.0;    ///< beta; Theorems 3-5 want beta < 1 for bounds
-  std::uint64_t seed = 1;    ///< keys the Philox direction stream
-  int workers = 0;           ///< team size; 0 = pool capacity
-  bool atomic_writes = true; ///< false = racy "non atomic" variant
-  SyncMode sync = SyncMode::kFreeRunning;
-  RandomizationScope scope = RandomizationScope::kShared;
-  ScanMode scan = ScanMode::kPinned;
-  double sync_interval_seconds = 0.05;  ///< kTimedBarrier rendezvous cadence
-  bool track_history = false;
-  /// Target on the method's convergence metric (relative residual; normal
-  /// equations residual for least squares).  0 disables tolerance stopping.
-  double rel_tol = 0.0;
-  /// kFcgAsyRgs only: AsyRGS sweeps per preconditioner application.
-  int inner_sweeps = 2;
-  /// Direction-draw distribution for the asynchronous methods (see
-  /// sampling/direction_sampler.hpp).  kUniform is the paper's setting and
-  /// bit-identical to the pre-sampling engine.  Non-uniform policies
-  /// require RandomizationScope::kShared; kResidual additionally requires
-  /// a synchronizing mode (its table refreshes at rendezvous) and the
-  /// single-RHS paths.  The Krylov methods reject non-uniform policies —
-  /// they draw no random directions.
-  SamplingPolicy sampling = SamplingPolicy::kUniform;
-  /// kResidual only: rebuild the residual-weighted table every this many
-  /// synchronization rendezvous (sweeps under kBarrierPerSweep, rounds
-  /// under kTimedBarrier).  Must be >= 1; see docs/TUNING.md for sizing.
-  int resample_sweeps = 8;
-  /// Topology-aware partitioned scheduling (SpdProblem single-RHS AsyRGS
-  /// only).  0 = off (the paper's any-worker-any-coordinate model).  >= 1
-  /// reorders the operator by reverse Cuthill-McKee, cuts it into this many
-  /// cache-line-aligned partitions balanced by nonzeros, and has each
-  /// worker draw only from the partitions it owns plus their halos — the
-  /// locality layer for graph-Laplacian scale (docs/TUNING.md).  Clamped to
-  /// the dimension; the clamp is surfaced as SolveOutcome::partitions_used.
-  /// Requires kUniform sampling and RandomizationScope::kShared.
-  int partitions = 0;
-  /// Probability in [0, 1) that a partitioned draw steals a halo row
-  /// (a neighbour-owned boundary row) instead of an owned row — the
-  /// cross-partition coupling knob.  Liu-Wright-style restricted sampling:
-  /// 0 is pure owner-computes; a few percent restores the information flow
-  /// across cuts that the convergence theory leans on.  Requires
-  /// partitions >= 1.
-  double steal_rate = 0.0;
-};
-
-/// Unified result of a handle solve.
-struct SolveOutcome {
-  SolveStatus status = SolveStatus::kBudgetCompleted;
-  /// Resolved strategy (SpdProblem methods; for LsqProblem kAsyncRgs =
-  /// coordinate descent, kAsyncKaczmarz = row action).
-  SpdMethod method_used = SpdMethod::kAuto;
-  int iterations = 0;        ///< sweeps or outer iterations, per method
-  long long updates = 0;     ///< coordinate updates (asynchronous methods)
-  int workers = 0;           ///< actual team size used
-  double relative_residual = 0.0;  ///< when a tolerance/history was active
-  double seconds = 0.0;      ///< iteration-loop wall time
-  ScanMode scan_requested = ScanMode::kPinned;
-  /// Association the kernels actually ran; differs from scan_requested only
-  /// for the block solver at more than four right-hand sides, whose
-  /// column-parallel inner loops run the pinned scan (k <= 4 dispatches the
-  /// reassociated register-resident kernel; see docs/TUNING.md).
-  ScanMode scan_executed = ScanMode::kPinned;
-  /// CSR storage policy the kernels actually ran against — the handle's
-  /// resolved policy for the asynchronous methods, kInt64Double for the
-  /// Krylov outer methods (which always read the bound full-width matrix).
-  StoragePolicy storage_used = StoragePolicy::kInt64Double;
-  /// Direction-draw distribution the run used (kUniform for the Krylov
-  /// methods, which draw no directions).
-  SamplingPolicy sampling_used = SamplingPolicy::kUniform;
-  /// Partition count the run actually used (SolveControls::partitions after
-  /// clamping to the dimension); 0 = unpartitioned scheduling.
-  int partitions_used = 0;
-  /// Halo steal probability the partitioned run used (0 when unpartitioned).
-  double steal_rate_used = 0.0;
-  std::vector<double> residual_history;  ///< per synchronization, if tracked
-  std::string description;   ///< human-readable method/mode summary
-
-  [[nodiscard]] bool converged() const noexcept {
-    return status == SolveStatus::kConverged;
-  }
-};
-
-/// Lossless translation between the legacy per-call option struct and
-/// SolveControls (the free-function wrappers use these; handy for migration).
-[[nodiscard]] SolveControls to_controls(const AsyncRgsOptions& options);
-[[nodiscard]] AsyncRgsOptions to_async_rgs_options(
-    const SolveControls& controls);
-
 namespace detail {
-/// Translates a handle outcome back to the legacy AsyncRgsReport shape; used
-/// by the free-function wrappers so both report forms stay in lockstep.
-[[nodiscard]] AsyncRgsReport report_from_outcome(SolveOutcome&& out);
+/// One operator at every width a prepared handle may run it: the bound
+/// full-width matrix plus, when the resolved policy narrows, its compact
+/// copy (built once at preparation; shared_ptr so shard clones alias it).
+/// At most one of a32 / amixed is non-null.
+struct StoredMatrix {
+  const CsrMatrix* full = nullptr;
+  std::shared_ptr<const CsrMatrix32> a32;
+  std::shared_ptr<const CsrMatrixMixed> amixed;
+
+  StoredMatrix() = default;
+  StoredMatrix(const CsrMatrix& a, StoragePolicy policy);
+};
 
 /// Reusable per-handle solver scratch (rhs packing, engine buffers); defined
 /// in problem.cpp so the unstable engine/kernel internals never enter this
@@ -333,36 +202,19 @@ class SpdProblem {
   /// hold mutex_).
   const detail::SpdPartitionState& partition_state();
 
-  SolveOutcome solve_async_single(const std::vector<double>& b,
-                                  std::vector<double>& x,
-                                  const SolveControls& controls);
-  SolveOutcome solve_async_partitioned(const std::vector<double>& b,
-                                       std::vector<double>& x,
-                                       const SolveControls& controls);
+  SolveOutcome solve_async(const std::vector<double>& b,
+                           std::vector<double>& x,
+                           const SolveControls& controls);
+  SolveOutcome solve_partitioned(const std::vector<double>& b,
+                                 std::vector<double>& x,
+                                 const SolveControls& controls);
   SolveOutcome solve_krylov(const std::vector<double>& b,
                             std::vector<double>& x,
                             const SolveControls& controls, SpdMethod method);
-  /// Policy-concrete bodies behind the storage dispatch (problem.cpp).
-  template <class Matrix>
-  SolveOutcome solve_async_single_on(const Matrix& a,
-                                     const std::vector<double>& b,
-                                     std::vector<double>& x,
-                                     const SolveControls& controls);
-  template <class Matrix>
-  SolveOutcome solve_async_partitioned_on(const Matrix& a,
-                                          const std::vector<double>& b,
-                                          std::vector<double>& x,
-                                          const SolveControls& controls);
-  template <class Matrix>
-  SolveOutcome solve_block_on(const Matrix& a, const MultiVector& b,
-                              MultiVector& x, const SolveControls& controls);
 
   ThreadPool& pool_;
   const CsrMatrix& a_;
-  /// Compact copies built at preparation when storage_ narrows; at most one
-  /// is non-null.  shared_ptr so shard clones alias one copy.
-  std::shared_ptr<const CsrMatrix32> a32_;
-  std::shared_ptr<const CsrMatrixMixed> amixed_;
+  detail::StoredMatrix stored_;  ///< a_ at the resolved storage policy
   StoragePolicy storage_ = StoragePolicy::kInt64Double;
   std::vector<double> inv_diag_;
   /// kWeighted sampler (weights: squared row norms of the bound full-width
@@ -432,28 +284,19 @@ class LsqProblem {
   [[nodiscard]] ProblemStats stats() const;
 
  private:
-  /// Policy-concrete solve bodies behind the storage dispatch (problem.cpp):
-  /// coordinate descent over columns, and the Kaczmarz row-action method.
-  template <class Matrix>
-  SolveOutcome solve_on(const Matrix& a, const Matrix& at,
-                        const std::vector<double>& b, std::vector<double>& x,
-                        const SolveControls& controls);
-  template <class Matrix>
-  SolveOutcome solve_kaczmarz_on(const Matrix& a, const Matrix& at,
-                                 const std::vector<double>& b,
-                                 std::vector<double>& x,
-                                 const SolveControls& controls);
+  /// Shared preparation of both binding constructors: column and row norms,
+  /// the rank check, and the storage resolution for (A, A^T).
+  void prepare(StorageMode storage);
 
   ThreadPool& pool_;
   const CsrMatrix& a_;
   std::shared_ptr<const CsrMatrix> at_holder_;  // cached-transpose mode
   const CsrMatrix* at_;
-  /// Compact copies of (A, A^T) when storage_ narrows; the pair for at most
-  /// one narrow policy is non-null.  shared_ptr so shard clones alias them.
-  std::shared_ptr<const CsrMatrix32> a32_;
-  std::shared_ptr<const CsrMatrix32> at32_;
-  std::shared_ptr<const CsrMatrixMixed> amixed_;
-  std::shared_ptr<const CsrMatrixMixed> atmixed_;
+  /// (A, A^T) at the resolved storage policy: both operands narrow or
+  /// neither — the update kernel walks rows of A and rows of A^T in one
+  /// pass, and mixing widths there would force per-access dispatch.
+  detail::StoredMatrix stored_a_;
+  detail::StoredMatrix stored_at_;
   StoragePolicy storage_ = StoragePolicy::kInt64Double;
   std::vector<double> col_sq_;      // ||A_{:,j}||^2 update denominators
   std::vector<double> row_sq_;      // ||A_i||^2 (Kaczmarz sampling weights)

@@ -66,7 +66,7 @@ class VirtualEngine {
     // exactly as the threaded engine's workers do.
     require(sampler == nullptr || sampler->directions() == a.rows(),
             "virtual_engine: sampler size must match the matrix");
-    AsyncRgsOptions plan_options;
+    SolveControls plan_options;
     plan_options.seed = options.seed;
     plan_options.scope = RandomizationScope::kShared;
     plan_.emplace(plan_options, a.rows(), /*team=*/1, sampler);

@@ -33,7 +33,7 @@ TEST(AsyncRgs, OneWorkerFreeRunningMatchesSequentialBitwise) {
   rgs_solve(a, b, x_seq, seq);
 
   std::vector<double> x_async(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 5;
   opt.seed = 11;
   opt.workers = 1;
@@ -54,7 +54,7 @@ TEST(AsyncRgs, OneWorkerBarrierModeAlsoMatches) {
   rgs_solve(a, b, x_seq, seq);
 
   std::vector<double> x_async(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 4;
   opt.seed = 23;
   opt.workers = 1;
@@ -74,14 +74,14 @@ TEST_P(AsyncRgsThreadsTest, ConvergesWithManyWorkers) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 3000;
   opt.seed = 31;
   opt.workers = workers;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-8;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged) << "workers=" << workers;
+  const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
+  EXPECT_TRUE(rep.converged()) << "workers=" << workers;
   EXPECT_LT(relative_residual(a, b, x), 1e-7);
   EXPECT_LT(nrm2(subtract(x, x_star)) / nrm2(x_star), 1e-5);
 }
@@ -105,11 +105,11 @@ TEST_P(AsyncRgsThreadsTest, FreeRunningReachesSyncComparableResidual) {
   const double res_sync = relative_residual(a, b, x_sync);
 
   std::vector<double> x_async(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = sweeps;
   opt.seed = 43;
   opt.workers = workers;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x_async, opt);
+  const SolveOutcome rep = async_rgs_solve(pool, a, b, x_async, opt);
   EXPECT_EQ(rep.workers, workers);
   const double res_async = relative_residual(a, b, x_async);
 
@@ -129,15 +129,15 @@ TEST(AsyncRgs, NonAtomicVariantStillConverges) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 2000;
   opt.seed = 53;
   opt.workers = 8;
   opt.atomic_writes = false;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-7;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
+  EXPECT_TRUE(rep.converged());
 }
 
 TEST(AsyncRgs, StepSizeDampensOnHostileDelay) {
@@ -147,15 +147,15 @@ TEST(AsyncRgs, StepSizeDampensOnHostileDelay) {
   const std::vector<double> b = random_vector(a.rows(), 57);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 4000;
   opt.seed = 59;
   opt.workers = 8;
   opt.step_size = 0.5;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-7;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
+  EXPECT_TRUE(rep.converged());
 }
 
 TEST(AsyncRgs, BarrierModeTracksHistory) {
@@ -163,13 +163,13 @@ TEST(AsyncRgs, BarrierModeTracksHistory) {
   const CsrMatrix a = laplacian_2d(8, 8);
   const std::vector<double> b = random_vector(a.rows(), 61);
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 10;
   opt.workers = 4;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.track_history = true;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_EQ(rep.sweeps_done, 10);
+  const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
+  EXPECT_EQ(rep.iterations, 10);
   EXPECT_EQ(rep.residual_history.size(), 10u);
   // Residuals should broadly decrease over sweeps.
   EXPECT_LT(rep.residual_history.back(), rep.residual_history.front());
@@ -181,14 +181,14 @@ TEST(AsyncRgs, EarlyStopOnTolerance) {
   const std::vector<double> x_star = random_vector(a.rows(), 67);
   const std::vector<double> b = rhs_from_solution(a, x_star);
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 100000;
   opt.workers = 4;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-6;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
-  EXPECT_LT(rep.sweeps_done, 100000);
+  const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
+  EXPECT_TRUE(rep.converged());
+  EXPECT_LT(rep.iterations, 100000);
 }
 
 TEST(AsyncRgs, BlockOneColumnMatchesSingle) {
@@ -197,7 +197,7 @@ TEST(AsyncRgs, BlockOneColumnMatchesSingle) {
   const std::vector<double> b = random_vector(a.rows(), 71);
 
   std::vector<double> x_single(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 6;
   opt.seed = 73;
   opt.workers = 1;
@@ -226,13 +226,13 @@ TEST(AsyncRgs, BlockMultiThreadedSolvesSkewedGram) {
   const MultiVector b = rhs_from_solution(a, x_star);
 
   MultiVector x(a.rows(), 4);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 400;
   opt.workers = 8;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-6;
-  const AsyncRgsReport rep = async_rgs_solve_block(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep = async_rgs_solve_block(pool, a, b, x, opt);
+  EXPECT_TRUE(rep.converged());
 }
 
 TEST(AsyncRgs, DirectionMultisetIsThreadCountInvariant) {
@@ -262,11 +262,14 @@ TEST(AsyncRgs, RejectsBadOptions) {
   const CsrMatrix a = laplacian_1d(10);
   const std::vector<double> b = random_vector(10, 1);
   std::vector<double> x(10, 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.step_size = 2.5;
   EXPECT_THROW(async_rgs_solve(pool, a, b, x, opt), Error);
   opt.step_size = 1.0;
   opt.sweeps = -1;
+  EXPECT_THROW(async_rgs_solve(pool, a, b, x, opt), Error);
+  opt.sweeps = 10;
+  opt.workers = -1;
   EXPECT_THROW(async_rgs_solve(pool, a, b, x, opt), Error);
 }
 

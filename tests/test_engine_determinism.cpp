@@ -96,7 +96,7 @@ TEST(PhiloxFill, ChunkedRefillsEqualOneShot) {
 // --- DirectionPlan batched fills == per-pick specification ------------------
 
 TEST(DirectionPlan, FillMatchesPickSharedScope) {
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.seed = 9;
   const index_t n = 97;
   for (int team : {1, 2, 3, 4, 8}) {
@@ -116,7 +116,7 @@ TEST(DirectionPlan, FillMatchesPickSharedScope) {
 }
 
 TEST(DirectionPlan, FillMatchesPickOwnerComputes) {
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.seed = 13;
   opt.scope = RandomizationScope::kOwnerComputes;
   const index_t n = 101;
@@ -145,7 +145,7 @@ std::vector<index_t> sequential_multiset(std::uint64_t seed, index_t n,
 }
 
 TEST(DirectionMultiset, PlanTilesTheSequentialStream) {
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.seed = 21;
   opt.sweeps = 50;
   const index_t n = 97;
@@ -169,7 +169,7 @@ TEST(DirectionMultiset, BarrierSplitTilesWhenWorkersExceedRows) {
   // Regression: with more workers than rows, the shared-scope per-sweep
   // formula used to hand workers w >= n one update each, consuming stream
   // positions owned by the next sweep twice.
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.seed = 5;
   const index_t n = 3;
   const Philox4x32 dirs(opt.seed);
@@ -214,7 +214,7 @@ struct RecordingUpdate {
 TEST(DirectionMultiset, EngineConsumptionMatchesSequentialAllModes) {
   ThreadPool pool(4);
   const index_t n = 97;
-  AsyncRgsOptions base;
+  SolveControls base;
   base.seed = 33;
   base.sweeps = 50;
   base.sync_interval_seconds = 0.005;
@@ -224,14 +224,15 @@ TEST(DirectionMultiset, EngineConsumptionMatchesSequentialAllModes) {
   for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep,
                         SyncMode::kTimedBarrier}) {
     for (int workers : {1, 2, 4}) {
-      AsyncRgsOptions opt = base;
+      SolveControls opt = base;
       opt.sync = sync;
       opt.workers = workers;
       std::vector<std::vector<index_t>> per_worker(
           static_cast<std::size_t>(workers));
-      AsyncRgsReport report;
+      SolveOutcome report;
       auto residual = [](int, int) { return 0.0; };
       detail::run_engine(pool, opt, n, workers,
+                         detail::direction_plans(opt, n), {},
                          RecordingUpdate{&per_worker}, residual, report);
       std::vector<index_t> all;
       for (const auto& v : per_worker) all.insert(all.end(), v.begin(), v.end());
@@ -245,7 +246,7 @@ TEST(DirectionMultiset, EngineConsumptionMatchesSequentialAllModes) {
 TEST(DirectionMultiset, EngineHandlesMoreWorkersThanRows) {
   ThreadPool pool(8);
   const index_t n = 3;
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.seed = 41;
   opt.sweeps = 20;
   opt.workers = 5;
@@ -254,10 +255,10 @@ TEST(DirectionMultiset, EngineHandlesMoreWorkersThanRows) {
   for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep}) {
     opt.sync = sync;
     std::vector<std::vector<index_t>> per_worker(5);
-    AsyncRgsReport report;
+    SolveOutcome report;
     auto residual = [](int, int) { return 0.0; };
-    detail::run_engine(pool, opt, n, 5, RecordingUpdate{&per_worker}, residual,
-                       report);
+    detail::run_engine(pool, opt, n, 5, detail::direction_plans(opt, n), {},
+                       RecordingUpdate{&per_worker}, residual, report);
     std::vector<index_t> all;
     for (const auto& v : per_worker) all.insert(all.end(), v.begin(), v.end());
     std::sort(all.begin(), all.end());
@@ -280,7 +281,7 @@ TEST(KernelBitExactness, AtomicSingleWorkerEqualsSequential) {
 
   for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep}) {
     std::vector<double> x_async(a.rows(), 0.0);
-    AsyncRgsOptions opt;
+    SolveControls opt;
     opt.sweeps = 40;
     opt.seed = 123;
     opt.workers = 1;
@@ -298,7 +299,7 @@ TEST(KernelBitExactness, RacySingleWorkerEqualsAtomicSingleWorker) {
   const std::vector<double> b = random_vector(a.rows(), 5);
   std::vector<double> x_atomic(a.rows(), 0.0);
   std::vector<double> x_racy(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 30;
   opt.seed = 7;
   opt.workers = 1;
@@ -320,7 +321,7 @@ TEST(KernelBitExactness, BlockSingleWorkerEqualsSequentialBlock) {
   rgs_solve_block(a, b, x_seq, seq);
 
   MultiVector x_async(a.rows(), 3);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 25;
   opt.seed = 77;
   opt.workers = 1;

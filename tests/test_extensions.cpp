@@ -21,14 +21,14 @@ TEST(OwnerComputes, ConvergesAndRespectsPartitions) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 4000;
   opt.workers = 8;
   opt.scope = RandomizationScope::kOwnerComputes;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-8;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
+  EXPECT_TRUE(rep.converged());
   EXPECT_LT(nrm2(subtract(x, x_star)) / nrm2(x_star), 1e-5);
 }
 
@@ -38,13 +38,13 @@ TEST(OwnerComputes, SingleWorkerStillSolves) {
   const std::vector<double> x_star = random_vector(a.rows(), 5);
   const std::vector<double> b = rhs_from_solution(a, x_star);
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 3000;
   opt.workers = 1;
   opt.scope = RandomizationScope::kOwnerComputes;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-8;
-  EXPECT_TRUE(async_rgs_solve(pool, a, b, x, opt).converged);
+  EXPECT_TRUE(async_rgs_solve(pool, a, b, x, opt).converged());
 }
 
 TEST(OwnerComputes, BarrierBlockVariantWorks) {
@@ -56,7 +56,7 @@ TEST(OwnerComputes, BarrierBlockVariantWorks) {
   const MultiVector x_star = random_multivector(a.rows(), 3, 7);
   const MultiVector b = rhs_from_solution(a, x_star);
   MultiVector x(a.rows(), 3);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 3000;
   opt.workers = 4;
   opt.scope = RandomizationScope::kOwnerComputes;
@@ -76,15 +76,15 @@ TEST(TimedBarrier, SolvesToToleranceAndStopsEarly) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 1000000;  // budget far beyond need: must stop on tolerance
   opt.workers = 8;
   opt.sync = SyncMode::kTimedBarrier;
   opt.sync_interval_seconds = 0.002;
   opt.rel_tol = 1e-8;
   opt.track_history = true;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
+  EXPECT_TRUE(rep.converged());
   EXPECT_LT(relative_residual(a, b, x), 1e-7);
   EXPECT_FALSE(rep.residual_history.empty());
   EXPECT_LT(rep.updates,
@@ -97,12 +97,12 @@ TEST(TimedBarrier, ExhaustsBudgetWithoutTolerance) {
   const CsrMatrix a = laplacian_2d(8, 8);
   const std::vector<double> b = random_vector(a.rows(), 11);
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 50;
   opt.workers = 4;
   opt.sync = SyncMode::kTimedBarrier;
   opt.sync_interval_seconds = 0.001;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
+  const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
   EXPECT_EQ(rep.updates,
             static_cast<long long>(50) * static_cast<long long>(a.rows()));
 }
@@ -112,7 +112,7 @@ TEST(TimedBarrier, RejectsNonPositiveInterval) {
   const CsrMatrix a = laplacian_1d(10);
   const std::vector<double> b = random_vector(10, 1);
   std::vector<double> x(10, 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sync = SyncMode::kTimedBarrier;
   opt.sync_interval_seconds = 0.0;
   EXPECT_THROW(async_rgs_solve(pool, a, b, x, opt), Error);

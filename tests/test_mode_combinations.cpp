@@ -21,7 +21,7 @@ TEST_P(ModeComboTest, SingleRhsSolvesUnderEveryCombination) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 6000;
   opt.workers = 8;
   opt.sync = sync;
@@ -29,7 +29,7 @@ TEST_P(ModeComboTest, SingleRhsSolvesUnderEveryCombination) {
   opt.sync_interval_seconds = 0.002;
   // Free-running mode cannot stop early; give it a fixed budget instead.
   if (sync != SyncMode::kFreeRunning) opt.rel_tol = 1e-7;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
+  const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
 
   if (sync == SyncMode::kFreeRunning &&
       scope == RandomizationScope::kOwnerComputes) {
@@ -42,7 +42,7 @@ TEST_P(ModeComboTest, SingleRhsSolvesUnderEveryCombination) {
     return;
   }
   if (sync != SyncMode::kFreeRunning) {
-    EXPECT_TRUE(rep.converged);
+    EXPECT_TRUE(rep.converged());
   }
   EXPECT_LT(relative_residual(a, b, x), 1e-6);
   EXPECT_LT(nrm2(subtract(x, x_star)) / nrm2(x_star), 1e-4);
@@ -56,7 +56,7 @@ TEST_P(ModeComboTest, BlockSolvesUnderEveryCombination) {
   const MultiVector b = rhs_from_solution(a, x_star);
 
   MultiVector x(a.rows(), 3);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 6000;
   opt.workers = 8;
   opt.sync = sync;
@@ -93,15 +93,15 @@ TEST(ModeCombo, NonAtomicComposesWithOwnerComputes) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
 
   std::vector<double> x(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 4000;
   opt.workers = 8;
   opt.scope = RandomizationScope::kOwnerComputes;
   opt.atomic_writes = false;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-8;
-  const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
+  EXPECT_TRUE(rep.converged());
 }
 
 TEST(ModeCombo, SolveSpdHonoursIterationCap) {
@@ -129,14 +129,14 @@ TEST(ModeCombo, LsqComposesWithTimedBarrier) {
   const std::vector<double> labels = rhs_from_solution(f, coeffs);
 
   std::vector<double> x(f.cols(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 4000;
   opt.workers = 8;
   opt.step_size = 0.9;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-8;
-  const AsyncRgsReport rep = async_lsq_solve(pool, f, labels, x, opt);
-  EXPECT_TRUE(rep.converged);
+  const SolveOutcome rep = async_lsq_solve(pool, f, labels, x, opt);
+  EXPECT_TRUE(rep.converged());
   EXPECT_LT(nrm2(subtract(x, coeffs)) / nrm2(coeffs), 1e-5);
 }
 

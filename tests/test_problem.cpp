@@ -13,8 +13,8 @@
 //      and shared through the CsrMatrix cache, and a repeat solve performs
 //      no new scratch allocations.
 //  (c) The unified SolveOutcome: status semantics, the block solver's
-//      pinned-scan downgrade surfaced in scan_executed / the report, and
-//      the thread-safety contract (concurrent solve() on distinct x).
+//      pinned-scan downgrade surfaced in scan_executed and the description,
+//      and the thread-safety contract (concurrent solve() on distinct x).
 //  (d) Outcome pinning: every deterministic SolveOutcome field of every
 //      asynchronous solve path, under every storage, sync and scan mode.
 #include <gtest/gtest.h>
@@ -71,10 +71,6 @@ CsrMatrix tall_matrix(index_t rows, index_t cols, std::uint64_t seed) {
   return builder.to_csr();
 }
 
-SolveControls async_controls(const AsyncRgsOptions& opt) {
-  return to_controls(opt);
-}
-
 // --- (a) bit-identity with the free functions --------------------------------
 
 TEST(PreparedSpd, SecondSolveBitIdenticalToFreeFunctionOneWorker) {
@@ -84,7 +80,7 @@ TEST(PreparedSpd, SecondSolveBitIdenticalToFreeFunctionOneWorker) {
 
   for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep,
                         SyncMode::kTimedBarrier}) {
-    AsyncRgsOptions opt;
+    SolveControls opt;
     opt.sweeps = 25;
     opt.seed = 17;
     opt.workers = 1;
@@ -97,8 +93,8 @@ TEST(PreparedSpd, SecondSolveBitIdenticalToFreeFunctionOneWorker) {
     SpdProblem problem(pool, a);
     std::vector<double> x1(a.rows(), 0.0);
     std::vector<double> x2(a.rows(), 0.0);
-    const SolveOutcome out1 = problem.solve(b, x1, async_controls(opt));
-    const SolveOutcome out2 = problem.solve(b, x2, async_controls(opt));
+    const SolveOutcome out1 = problem.solve(b, x1, opt);
+    const SolveOutcome out2 = problem.solve(b, x2, opt);
     EXPECT_EQ(x_free, x1) << "sync=" << static_cast<int>(sync);
     EXPECT_EQ(x_free, x2) << "sync=" << static_cast<int>(sync);
     EXPECT_EQ(out1.method_used, SpdMethod::kAsyncRgs);
@@ -118,7 +114,7 @@ TEST(PreparedSpd, OwnerComputesBitIdenticalAcrossWorkersAndSyncModes) {
   for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep,
                         SyncMode::kTimedBarrier}) {
     for (int workers : {1, 2, 4}) {
-      AsyncRgsOptions opt;
+      SolveControls opt;
       opt.sweeps = 30;
       opt.seed = 23;
       opt.workers = workers;
@@ -131,8 +127,8 @@ TEST(PreparedSpd, OwnerComputesBitIdenticalAcrossWorkersAndSyncModes) {
 
       std::vector<double> x1(a.rows(), 0.0);
       std::vector<double> x2(a.rows(), 0.0);
-      problem.solve(b, x1, async_controls(opt));
-      problem.solve(b, x2, async_controls(opt));
+      problem.solve(b, x1, opt);
+      problem.solve(b, x2, opt);
       EXPECT_EQ(x_free, x1)
           << "sync=" << static_cast<int>(sync) << " workers=" << workers;
       EXPECT_EQ(x_free, x2)
@@ -176,7 +172,7 @@ TEST(PreparedLsq, SecondSolveBitIdenticalToFreeFunction) {
   const CsrMatrix a = tall_matrix(160, 50, 11);
   const std::vector<double> b = random_vector(a.rows(), 13);
 
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 20;
   opt.seed = 31;
   opt.workers = 1;
@@ -188,8 +184,8 @@ TEST(PreparedLsq, SecondSolveBitIdenticalToFreeFunction) {
   LsqProblem problem(pool, a);
   std::vector<double> x1(static_cast<std::size_t>(a.cols()), 0.0);
   std::vector<double> x2(static_cast<std::size_t>(a.cols()), 0.0);
-  problem.solve(b, x1, async_controls(opt));
-  problem.solve(b, x2, async_controls(opt));
+  problem.solve(b, x1, opt);
+  problem.solve(b, x2, opt);
   EXPECT_EQ(x_free, x1);
   EXPECT_EQ(x_free, x2);
 }
@@ -204,12 +200,12 @@ TEST(PreparedSpd, ValidationRunsOncePerProblemNotPerSolve) {
   SpdProblem problem(pool, a, /*check_input=*/true);
   EXPECT_EQ(problem.stats().validation_passes, 1);
 
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 5;
   opt.workers = 1;
   std::vector<double> x(a.rows(), 0.0);
-  problem.solve(b, x, async_controls(opt));
-  problem.solve(b, x, async_controls(opt));
+  problem.solve(b, x, opt);
+  problem.solve(b, x, opt);
   const ProblemStats stats = problem.stats();
   EXPECT_EQ(stats.validation_passes, 1);  // not re-run per solve
   EXPECT_EQ(stats.solves, 2);
@@ -221,17 +217,17 @@ TEST(PreparedSpd, RepeatSolvePerformsNoNewScratchAllocations) {
   const std::vector<double> b = random_vector(a.rows(), 4);
 
   SpdProblem problem(pool, a);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 8;
   opt.workers = 2;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.track_history = true;
   std::vector<double> x(a.rows(), 0.0);
-  problem.solve(b, x, async_controls(opt));
+  problem.solve(b, x, opt);
   const long long after_first = problem.stats().scratch_allocations;
   EXPECT_GT(after_first, 0);
-  problem.solve(b, x, async_controls(opt));
-  problem.solve(b, x, async_controls(opt));
+  problem.solve(b, x, opt);
+  problem.solve(b, x, opt);
   EXPECT_EQ(problem.stats().scratch_allocations, after_first);
 }
 
@@ -252,12 +248,12 @@ TEST(PreparedLsq, TransposeBuiltOncePerMatrix) {
   // Repeat solves build nothing further.
   const std::vector<double> b = random_vector(a.rows(), 21);
   std::vector<double> x(static_cast<std::size_t>(a.cols()), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 5;
   opt.workers = 1;
   opt.step_size = 0.9;
-  first.solve(b, x, async_controls(opt));
-  first.solve(b, x, async_controls(opt));
+  first.solve(b, x, opt);
+  first.solve(b, x, opt);
   EXPECT_EQ(first.stats().transpose_builds, 1);
 }
 
@@ -267,7 +263,7 @@ TEST(PreparedLsq, ConvenienceOverloadUsesSharedTransposeCache) {
   ThreadPool pool(2);
   const CsrMatrix a = tall_matrix(120, 40, 23);
   const std::vector<double> b = random_vector(a.rows(), 8);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 5;
   opt.workers = 1;
   opt.step_size = 0.9;
@@ -345,15 +341,15 @@ TEST(BlockScanMode, SmallBlocksHonourReassociatedWiderBlocksDowngrade) {
     EXPECT_EQ(out.description.find("pinned"), std::string::npos)
         << out.description;
 
-    // The legacy report surfaces the same honoured request, bit-identically.
-    AsyncRgsOptions opt;
+    // The free function surfaces the same honoured request, bit-identically.
+    SolveControls opt;
     opt.sweeps = 4;
     opt.workers = 1;
     opt.scan = ScanMode::kReassociated;
     MultiVector x_free(a.rows(), 3);
-    const AsyncRgsReport block_report =
+    const SolveOutcome block_report =
         async_rgs_solve_block(pool, a, b, x_free, opt);
-    EXPECT_EQ(block_report.scan_used, ScanMode::kReassociated);
+    EXPECT_EQ(block_report.scan_executed, ScanMode::kReassociated);
     for (std::size_t i = 0; i < x.size(); ++i)
       ASSERT_EQ(x.data()[i], x_free.data()[i]) << "i=" << i;
   }
@@ -371,15 +367,15 @@ TEST(BlockScanMode, SmallBlocksHonourReassociatedWiderBlocksDowngrade) {
   }
 
   // The single-RHS kernels honour the request as before.
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 4;
   opt.workers = 1;
   opt.scan = ScanMode::kReassociated;
   const std::vector<double> b1 = random_vector(a.rows(), 6);
   std::vector<double> x1(a.rows(), 0.0);
-  const AsyncRgsReport single_report =
+  const SolveOutcome single_report =
       async_rgs_solve(pool, a, b1, x1, opt);
-  EXPECT_EQ(single_report.scan_used, ScanMode::kReassociated);
+  EXPECT_EQ(single_report.scan_executed, ScanMode::kReassociated);
 }
 
 TEST(PreparedSpd, ConcurrentSolvesOnDistinctIteratesAreSerializedSafely) {
@@ -392,20 +388,20 @@ TEST(PreparedSpd, ConcurrentSolvesOnDistinctIteratesAreSerializedSafely) {
   const std::vector<double> b2 = random_vector(a.rows(), 43);
   SpdProblem problem(pool, a);
 
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 20;
   opt.workers = 1;
   opt.seed = 3;
 
   std::vector<double> ref1(a.rows(), 0.0);
   std::vector<double> ref2(a.rows(), 0.0);
-  problem.solve(b1, ref1, async_controls(opt));
-  problem.solve(b2, ref2, async_controls(opt));
+  problem.solve(b1, ref1, opt);
+  problem.solve(b2, ref2, opt);
 
   std::vector<double> x1(a.rows(), 0.0);
   std::vector<double> x2(a.rows(), 0.0);
-  std::thread t1([&] { problem.solve(b1, x1, async_controls(opt)); });
-  std::thread t2([&] { problem.solve(b2, x2, async_controls(opt)); });
+  std::thread t1([&] { problem.solve(b1, x1, opt); });
+  std::thread t2([&] { problem.solve(b2, x2, opt); });
   t1.join();
   t2.join();
   EXPECT_EQ(ref1, x1);

@@ -162,7 +162,7 @@ TEST(DirectionSampler, RebuildCountsAndChangesTheTable) {
 // --- DirectionPlan with a sampler -------------------------------------------
 
 TEST(DirectionPlan, UniformSamplerIsBitIdenticalToNoSampler) {
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.seed = 17;
   const index_t n = 53;
   const DirectionSampler uniform = DirectionSampler::uniform(n);
@@ -181,7 +181,7 @@ TEST(DirectionPlan, UniformSamplerIsBitIdenticalToNoSampler) {
 }
 
 TEST(DirectionPlan, WeightedFillMatchesPickAndMapsTheSharedStream) {
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.seed = 29;
   const index_t n = 41;
   std::vector<double> w(static_cast<std::size_t>(n));
@@ -217,17 +217,17 @@ struct RecordingUpdate {
 };
 
 std::vector<index_t> engine_multiset(ThreadPool& pool,
-                                     const AsyncRgsOptions& base, index_t n,
+                                     const SolveControls& base, index_t n,
                                      int workers,
                                      const detail::EngineSampling& sampling) {
-  AsyncRgsOptions opt = base;
+  SolveControls opt = base;
   opt.workers = workers;
   std::vector<std::vector<index_t>> per_worker(
       static_cast<std::size_t>(workers));
-  AsyncRgsReport report;
+  SolveOutcome report;
   auto residual = [](int, int) { return 0.0; };
-  detail::run_engine_sampled(pool, opt, n, workers, sampling,
-                             RecordingUpdate{&per_worker}, residual, report);
+  detail::run_engine(pool, opt, n, workers, detail::direction_plans(opt, n),
+                     sampling, RecordingUpdate{&per_worker}, residual, report);
   std::vector<index_t> all;
   for (const auto& v : per_worker) all.insert(all.end(), v.begin(), v.end());
   std::sort(all.begin(), all.end());
@@ -237,7 +237,7 @@ std::vector<index_t> engine_multiset(ThreadPool& pool,
 TEST(SampledEngine, MultisetInvariantAcrossWorkerCountsPerPolicy) {
   ThreadPool pool(4);
   const index_t n = 61;
-  AsyncRgsOptions base;
+  SolveControls base;
   base.seed = 57;
   base.sweeps = 30;
   base.sync = SyncMode::kBarrierPerSweep;
@@ -270,7 +270,7 @@ TEST(SampledEngine, ResidualRefreshIsDeterministicAndWorkerCountInvariant) {
   // boundaries (sweep ends) for every team size.
   ThreadPool pool(4);
   const index_t n = 37;
-  AsyncRgsOptions base;
+  SolveControls base;
   base.seed = 91;
   base.sweeps = 24;
   base.sync = SyncMode::kBarrierPerSweep;
@@ -321,7 +321,7 @@ TEST(SampledEngine, WeightedDrawsFollowTheTable) {
   const DirectionSampler sampler = DirectionSampler::weighted(w.data(), n);
   detail::EngineSampling sampling;
   sampling.sampler = &sampler;
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.seed = 3;
   opt.sweeps = 5;
   opt.sync = SyncMode::kBarrierPerSweep;
@@ -342,16 +342,17 @@ TEST(SampledEngine, RejectsRefreshUnderFreeRunning) {
   detail::EngineSampling sampling;
   sampling.sampler = &sampler;
   sampling.refresh = [] {};
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.seed = 1;
   opt.sweeps = 2;
   opt.sync = SyncMode::kFreeRunning;
   std::vector<std::vector<index_t>> per_worker(1);
-  AsyncRgsReport report;
+  SolveOutcome report;
   auto residual = [](int, int) { return 0.0; };
-  EXPECT_THROW(detail::run_engine_sampled(pool, opt, n, 1, sampling,
-                                          RecordingUpdate{&per_worker},
-                                          residual, report),
+  EXPECT_THROW(detail::run_engine(pool, opt, n, 1,
+                                  detail::direction_plans(opt, n), sampling,
+                                  RecordingUpdate{&per_worker}, residual,
+                                  report),
                Error);
 }
 
@@ -361,16 +362,17 @@ TEST(SampledEngine, RejectsSamplerSizeMismatch) {
   const DirectionSampler sampler = DirectionSampler::weighted(w.data(), 8);
   detail::EngineSampling sampling;
   sampling.sampler = &sampler;
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.seed = 1;
   opt.sweeps = 2;
   opt.sync = SyncMode::kBarrierPerSweep;
   std::vector<std::vector<index_t>> per_worker(1);
-  AsyncRgsReport report;
+  SolveOutcome report;
   auto residual = [](int, int) { return 0.0; };
-  EXPECT_THROW(detail::run_engine_sampled(pool, opt, /*n=*/9, 1, sampling,
-                                          RecordingUpdate{&per_worker},
-                                          residual, report),
+  EXPECT_THROW(detail::run_engine(pool, opt, /*n=*/9, 1,
+                                  detail::direction_plans(opt, 9), sampling,
+                                  RecordingUpdate{&per_worker}, residual,
+                                  report),
                Error);
 }
 

@@ -32,7 +32,7 @@ namespace {
 // --- (a) pinned is the default and stays bit-exact ---------------------------
 
 TEST(ScanModeDefault, PinnedEverywhere) {
-  EXPECT_EQ(AsyncRgsOptions{}.scan, ScanMode::kPinned);
+  EXPECT_EQ(SolveControls{}.scan, ScanMode::kPinned);
   EXPECT_EQ(SpdSolveOptions{}.scan, ScanMode::kPinned);
 }
 
@@ -51,7 +51,7 @@ TEST(ScanModeDefault, PinnedSingleWorkerStaysBitExact) {
   rgs_solve(a, b, x_seq, seq);
 
   std::vector<double> x_async(a.rows(), 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 30;
   opt.seed = 11;
   opt.workers = 1;
@@ -131,16 +131,16 @@ TEST(ScanModeConvergence, ReassociatedReachesToleranceAcrossWorkerCounts) {
   const std::vector<double> b = rhs_from_solution(a, x_star);
   for (int workers : {1, 2, 4}) {
     std::vector<double> x(a.rows(), 0.0);
-    AsyncRgsOptions opt;
+    SolveControls opt;
     opt.sweeps = 4000;
     opt.seed = 17;
     opt.workers = workers;
     opt.sync = SyncMode::kBarrierPerSweep;
     opt.scan = ScanMode::kReassociated;
     opt.rel_tol = 1e-8;
-    const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
-    EXPECT_TRUE(rep.converged) << "workers=" << workers;
-    EXPECT_LE(rep.final_relative_residual, 1e-8) << "workers=" << workers;
+    const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
+    EXPECT_TRUE(rep.converged()) << "workers=" << workers;
+    EXPECT_LE(rep.relative_residual, 1e-8) << "workers=" << workers;
   }
 }
 
@@ -157,7 +157,7 @@ TEST(ScanModeConvergence, ReassociatedLsqReachesTolerance) {
   const std::vector<double> x_star = random_vector(25, 8);
   const std::vector<double> b = rhs_from_solution(a, x_star);
   std::vector<double> x(25, 0.0);
-  AsyncRgsOptions opt;
+  SolveControls opt;
   opt.sweeps = 6000;
   opt.seed = 9;
   opt.workers = 2;
@@ -165,9 +165,9 @@ TEST(ScanModeConvergence, ReassociatedLsqReachesTolerance) {
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.scan = ScanMode::kReassociated;
   opt.rel_tol = 1e-8;
-  const AsyncRgsReport rep = async_lsq_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged);
-  EXPECT_LE(rep.final_relative_residual, 1e-8);
+  const SolveOutcome rep = async_lsq_solve(pool, a, b, x, opt);
+  EXPECT_TRUE(rep.converged());
+  EXPECT_LE(rep.relative_residual, 1e-8);
 }
 
 TEST(ScanModeConvergence, SolveSpdPlumbsReassociated) {
@@ -200,16 +200,16 @@ TEST(ScanModeDirections, MultisetUnchangedByScanMode) {
   const index_t n = 83;
   std::vector<std::vector<index_t>> multisets;
   for (ScanMode scan : {ScanMode::kPinned, ScanMode::kReassociated}) {
-    AsyncRgsOptions opt;
+    SolveControls opt;
     opt.seed = 29;
     opt.sweeps = 40;
     opt.workers = 3;
     opt.scan = scan;
     std::vector<std::vector<index_t>> per_worker(3);
-    AsyncRgsReport report;
+    SolveOutcome report;
     auto residual = [](int, int) { return 0.0; };
-    detail::run_engine(pool, opt, n, 3, RecordingUpdate{&per_worker},
-                       residual, report);
+    detail::run_engine(pool, opt, n, 3, detail::direction_plans(opt, n), {},
+                       RecordingUpdate{&per_worker}, residual, report);
     std::vector<index_t> all;
     for (const auto& v : per_worker)
       all.insert(all.end(), v.begin(), v.end());
@@ -248,15 +248,15 @@ TEST(TeamResidualHeuristic, ResidualValuesAgreeAcrossWorkerCounts) {
   double residual_1 = -1.0;
   for (int workers : {1, 4}) {
     std::vector<double> x(a.rows(), 0.0);
-    AsyncRgsOptions opt;
+    SolveControls opt;
     opt.sweeps = 25;
     opt.seed = 77;
     opt.workers = workers;
     opt.sync = SyncMode::kBarrierPerSweep;
     opt.track_history = true;
-    const AsyncRgsReport rep = async_rgs_solve(pool, a, b, x, opt);
+    const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
     ASSERT_EQ(rep.residual_history.size(),
-              static_cast<std::size_t>(rep.sweeps_done));
+              static_cast<std::size_t>(rep.iterations));
     // Different worker counts interleave updates differently, so compare
     // each report against its own iterate, not across runs.
     std::vector<double> r(a.rows());
@@ -268,9 +268,9 @@ TEST(TeamResidualHeuristic, ResidualValuesAgreeAcrossWorkerCounts) {
       den += b[i] * b[i];
     }
     const double expect = std::sqrt(num) / std::sqrt(den);
-    EXPECT_NEAR(rep.final_relative_residual, expect, 1e-12 + 1e-9 * expect)
+    EXPECT_NEAR(rep.relative_residual, expect, 1e-12 + 1e-9 * expect)
         << "workers=" << workers;
-    if (workers == 1) residual_1 = rep.final_relative_residual;
+    if (workers == 1) residual_1 = rep.relative_residual;
   }
   EXPECT_GE(residual_1, 0.0);
 }

@@ -94,7 +94,7 @@ TEST(StorageGolden, SharedScopeSingleWorkerMatchesPreRefactor) {
   const CsrMatrix a = laplacian_2d(9, 9);
   const std::vector<double> b = random_vector(a.rows(), 3);
   for (SyncMode sync : kSyncModes) {
-    AsyncRgsOptions opt;
+    SolveControls opt;
     opt.sweeps = 25;
     opt.seed = 17;
     opt.workers = 1;
@@ -119,7 +119,7 @@ TEST(StorageGolden, OwnerComputesMultiWorkerMatchesPreRefactor) {
   const std::vector<double> b = random_vector(a.rows(), 5);
   for (SyncMode sync : kSyncModes) {
     for (const Case& c : cases) {
-      AsyncRgsOptions opt;
+      SolveControls opt;
       opt.sweeps = 30;
       opt.seed = 23;
       opt.workers = c.workers;
