@@ -4,7 +4,7 @@
 // partitioned, block, least-squares coordinate descent, Kaczmarz): direction
 // planning, the three synchronization modes, and team-parallel residual
 // evaluation at synchronization points.  It reads SolveControls and fills
-// SolveOutcome (core/async_rgs.hpp) directly.  Everything here is an
+// SolveOutcome (core/async_rgs.hpp).  Everything here is an
 // implementation detail of the solve pipeline in problem.cpp — the header
 // exists so that the determinism test suite and the kernel micro-benchmarks
 // can exercise the pieces in isolation.  No symbol in asyrgs::detail is a

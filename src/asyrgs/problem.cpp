@@ -223,18 +223,24 @@ struct PipelineEnv {
   ProblemStats& stats;
 };
 
-/// Where a path's non-uniform direction weights come from.  Both callbacks
-/// run at setup or at a rendezvous refresh, never per update.
+/// Where a path's non-uniform direction weights come from.  Both callables
+/// run at setup or at a rendezvous refresh, never per update, and neither
+/// allocates unless its policy is in use.
+template <class Fixed, class Residual>
 struct WeightSource {
   /// The handle's lazily built kWeighted sampler, filled from `fixed()` on
   /// the first weighted solve and reused by every later one.  Null for
   /// paths that draw uniformly only.
-  std::optional<DirectionSampler>* cache = nullptr;
-  std::function<std::vector<double>()> fixed;
-  /// kResidual weights from the current iterate, with plain reads (see
-  /// row_residual_weights for when that is legal).
-  std::function<void(std::vector<double>&)> residual;
+  std::optional<DirectionSampler>* cache;
+  Fixed fixed;
+  /// residual(w): kResidual weights from the current iterate, with plain
+  /// reads (see row_residual_weights for when that is legal).
+  Residual residual;
 };
+
+/// Stand-in for a weight callable a path never calls: validation rejects
+/// the sampling policy that would need it before the pipeline runs.
+constexpr auto kNoWeights = [](auto&...) { return std::vector<double>(); };
 
 /// What a path reports that the pipeline cannot derive itself.
 struct PathFacts {
@@ -242,11 +248,33 @@ struct PathFacts {
   index_t directions;     ///< engine n: rows, columns, or permuted rows
   StoragePolicy storage;  ///< policy of the matrix the kernels read
   ScanMode scan;          ///< association the kernels execute
-  std::string shape = {};  ///< description before the sync mode
-  std::string note = {};   ///< description after the sampling note
-  int partitions = 0;
+  int rhs = 0;            ///< block width (0: single right-hand side)
+  const char* note = "";  ///< description tail after the sampling note
+  int partitions = 0;     ///< partitions used (0: unpartitioned)
   double steal_rate = 0.0;
 };
+
+/// The description of a finished run, e.g. "AsyRGS block, 4 threads, 8
+/// rhs, barrier per sweep; ..., int32_double storage".
+std::string describe(const PathFacts& path, const SolveControls& controls,
+                     int workers) {
+  std::string d = std::string(path.name) + ", " + std::to_string(workers) +
+                  " threads, ";
+  if (path.rhs > 0) d += std::to_string(path.rhs) + " rhs, ";
+  d += sync_name(controls.sync) + sampling_note(controls);
+  if (path.partitions > 0) {
+    std::string steal = std::to_string(path.steal_rate);
+    // Trim to the informative digits (to_string pads to 6 decimals).
+    while (steal.size() > 1 && steal.back() == '0') steal.pop_back();
+    if (!steal.empty() && steal.back() == '.') steal.pop_back();
+    d += ", " + std::to_string(path.partitions) + " partitions (RCM, steal " +
+         steal + ")";
+  }
+  d += path.note;
+  if (path.storage != StoragePolicy::kInt64Double)
+    d += std::string(", ") + to_string(path.storage) + " storage";
+  return d;
+}
 
 template <class Matrix>
 constexpr StoragePolicy storage_of(const Matrix&) {
@@ -260,10 +288,12 @@ constexpr StoragePolicy storage_of(const Matrix&) {
 /// update functor) and its plan factory.  The pipeline owns the rest: the
 /// team size, sampler setup, timing, status mapping, description and
 /// outcome fields.  The controls were validated at the entry point.
-template <class MakeResidual, class Launch, class MakePlan>
+template <class Fixed, class Residual, class MakeResidual, class Launch,
+          class MakePlan>
 SolveOutcome run_pipeline(const PipelineEnv& env,
                           const SolveControls& controls,
-                          const PathFacts& path, const WeightSource& weights,
+                          const PathFacts& path,
+                          const WeightSource<Fixed, Residual>& weights,
                           MakeResidual&& make_residual, Launch&& launch,
                           MakePlan&& make_plan) {
   const index_t n = path.directions;
@@ -277,7 +307,7 @@ SolveOutcome run_pipeline(const PipelineEnv& env,
     if (!cached) {
       // Weights from the bound full-width matrix, so the distribution is
       // independent of the storage policy the kernels run against.
-      const std::vector<double> w = weights.fixed();
+      const std::vector<double>& w = weights.fixed();
       cached.emplace(DirectionSampler::weighted(w.data(), n));
       ++env.stats.sampler_builds;
     }
@@ -327,12 +357,7 @@ SolveOutcome run_pipeline(const PipelineEnv& env,
   out.sampling_used = controls.sampling;
   out.partitions_used = path.partitions;
   out.steal_rate_used = path.steal_rate;
-  out.description = std::string(path.name) + ", " + std::to_string(workers) +
-                    " threads, " + path.shape + sync_name(controls.sync) +
-                    sampling_note(controls) + path.note;
-  if (path.storage != StoragePolicy::kInt64Double)
-    out.description +=
-        std::string(", ") + to_string(path.storage) + " storage";
+  out.description = describe(path, controls, workers);
   return out;
 }
 
@@ -566,11 +591,6 @@ SolveOutcome SpdProblem::solve_partitioned(const std::vector<double>& b,
   }
   detail::pack_rhs_diag(bp, st.inv_diag, scratch_->rhs_diag);
 
-  std::string steal = std::to_string(controls.steal_rate);
-  // Trim to the informative digits (to_string pads to 6 decimals).
-  while (steal.size() > 1 && steal.back() == '0') steal.pop_back();
-  if (!steal.empty() && steal.back() == '.') steal.pop_back();
-
   SolveOutcome out = with_storage(
       storage_,
       [&](const auto& a) {
@@ -580,11 +600,9 @@ SolveOutcome SpdProblem::solve_partitioned(const std::vector<double>& b,
              .directions = a.rows(),
              .storage = storage_of(a),
              .scan = controls.scan,
-             .note = ", " + std::to_string(cut->count()) +
-                     " partitions (RCM, steal " + steal + ")",
              .partitions = cut->count(),
              .steal_rate = controls.steal_rate},
-            WeightSource{},
+            WeightSource{nullptr, kNoWeights, kNoWeights},
             // The residual norm is permutation-invariant, so evaluating it
             // on the permuted system reports exactly the metric the
             // unpartitioned path would.
@@ -728,7 +746,7 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
              .directions = a.rows(),
              .storage = storage_of(a),
              .scan = downgraded ? ScanMode::kPinned : controls.scan,
-             .shape = std::to_string(k) + " rhs, ",
+             .rhs = static_cast<int>(k),
              .note = downgraded
                          ? "; reassociated scan requested but blocks wider "
                            "than 4 right-hand sides run the pinned "
@@ -736,7 +754,7 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
                          : ""},
             WeightSource{&weighted_sampler_,
                          [this] { return detail::row_sq_norms(a_); },
-                         {}},
+                         kNoWeights},
             [&](int workers) {
               return detail::BlockResidual(a, b, x, workers,
                                            scratch_->engine.reduce(workers));
@@ -875,7 +893,10 @@ SolveOutcome LsqProblem::solve(const std::vector<double>& b,
                .directions = a.rows(),
                .storage = storage_of(a),
                .scan = controls.scan},
-              WeightSource{&weighted_rows_, [this] { return row_sq_; },
+              WeightSource{&weighted_rows_,
+                           [this]() -> const std::vector<double>& {
+                             return row_sq_;
+                           },
                            [&](std::vector<double>& w) {
                              row_residual_weights(a, b, x.data(), w);
                            }},
@@ -887,17 +908,21 @@ SolveOutcome LsqProblem::solve(const std::vector<double>& b,
               },
               detail::direction_plans(controls, a.rows()));
         }
-        // Coordinate descent: directions are the columns of A.
+        // Coordinate descent: directions are the columns of A; `rbuf` is
+        // the residual-weight scratch of a.rows() doubles.
+        std::vector<double> rbuf;
         return run_pipeline(
             env, controls,
             {.name = "AsyRCD least squares",
              .directions = a.cols(),
              .storage = storage_of(a),
              .scan = controls.scan},
-            WeightSource{&weighted_cols_, [this] { return col_sq_; },
-                         [&, r = std::vector<double>()](
-                             std::vector<double>& w) mutable {
-                           col_residual_weights(a, at, b, x.data(), r, w);
+            WeightSource{&weighted_cols_,
+                         [this]() -> const std::vector<double>& {
+                           return col_sq_;
+                         },
+                         [&](std::vector<double>& w) {
+                           col_residual_weights(a, at, b, x.data(), rbuf, w);
                          }},
             residual,
             [&]<bool kAtomic, ScanMode kScan>(int, auto&& run) {
