@@ -596,54 +596,22 @@ struct EngineSampling {
   std::function<void()> refresh;
 };
 
-/// The execution engine shared by every asynchronous solve path.
-///
-/// `update(worker, r, r_ahead)` performs one coordinate update on direction
-/// r; r_ahead is a direction the worker will execute kPrefetchDistance picks
-/// later (clamped to the refill chunk), for cache prefetching — functors may
-/// ignore it.  `residual(worker, team)` evaluates the convergence metric at
-/// synchronization points; it is called by *every* rendezvoused worker
-/// (team-parallel reduction — see TeamReduce) and only worker 0's return
-/// value is used.  The engine calls it only when controls request history
-/// tracking or a tolerance.
-///
-/// `make_plan(team, sampler)` builds the direction schedule for a team size
-/// — DirectionPlan (see direction_plans) or PartitionedDirectionPlan, any
-/// type with the shared per_sweep/total_updates/fill/fill_in_sweep
-/// interface — so the three synchronization-mode bodies exist once.  The
-/// thread pool may shrink a team to 1 on nested calls; the engine then
-/// builds the matching single-worker plan lazily instead of paying for a
-/// throwaway fallback plan in every worker.  `sampling` supplies the draw
-/// distribution handed to the factory and the rendezvous refresh.
-///
-/// The engine fills the iteration fields of `out` — iterations, updates,
-/// relative_residual, residual_history — and sets status to kConverged when
-/// the tolerance is met; every other outcome field is the caller's.
-///
-/// `scratch` (optional) supplies reusable per-worker direction buffers; a
-/// prepared handle passes its own so repeated solves skip the allocations,
-/// while one-shot callers leave it null and pay a local scratch per call.
+/// The synchronization-mode bodies behind run_engine, generic over the
+/// direction schedule: `make_plan(team)` builds it (DirectionPlan or
+/// PartitionedDirectionPlan — any type with the shared
+/// per_sweep/total_updates/fill/fill_in_sweep interface) for a given team
+/// size, so the three bodies exist once.  The thread pool may shrink a team
+/// to 1 on nested calls; the engine then builds the matching single-worker
+/// plan lazily instead of paying for a throwaway fallback plan in every
+/// worker.  `refresh` is the EngineSampling rendezvous callback (empty =
+/// none).  Call run_engine, which validates the sampler contract first.
 template <typename PlanFactory, typename UpdateFn, typename ResidualFn>
-void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
-                int workers, PlanFactory&& make_plan,
-                const EngineSampling& sampling, UpdateFn&& update,
-                ResidualFn&& residual, SolveOutcome& out,
-                EngineScratch* scratch = nullptr) {
-  if (sampling.sampler != nullptr && sampling.sampler->weighted_draws()) {
-    require(controls.scope == RandomizationScope::kShared,
-            "run_engine: weighted direction sampling requires the shared "
-            "randomization scope");
-    require(sampling.sampler->directions() == n,
-            "run_engine: sampler direction count must match the engine");
-  }
-  require(!sampling.refresh || controls.sync != SyncMode::kFreeRunning,
-          "run_engine: sampler refresh needs synchronization points; "
-          "kFreeRunning has none");
-  const std::function<void()>& refresh = sampling.refresh;
-  const auto plan_for = [&](int team) {
-    return make_plan(team, sampling.sampler);
-  };
-  using Plan = std::decay_t<decltype(plan_for(1))>;
+void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
+                          index_t n, int workers, PlanFactory&& make_plan,
+                          const std::function<void()>& refresh,
+                          UpdateFn&& update, ResidualFn&& residual,
+                          SolveOutcome& out, EngineScratch* scratch) {
+  using Plan = std::decay_t<decltype(make_plan(1))>;
   EngineScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   scratch->prepare(workers);
@@ -653,7 +621,7 @@ void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
       static_cast<long long>(sweeps) * static_cast<long long>(n);
 
   if (controls.sync == SyncMode::kFreeRunning) {
-    const Plan plan = plan_for(workers);
+    const Plan plan = make_plan(workers);
     pool.run_team(workers, [&](int id, int team) {
       // The pool may shrink the team on nested calls; rebuild the plan so
       // the partitioning matches the actual team (lazily — the common
@@ -661,7 +629,7 @@ void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
       std::optional<Plan> shrunk;
       const Plan* my_plan = &plan;
       if (team != workers) {
-        shrunk.emplace(plan_for(team));
+        shrunk.emplace(make_plan(team));
         my_plan = &*shrunk;
       }
       const std::uint64_t my_total = my_plan->total_updates(id, sweeps);
@@ -699,7 +667,7 @@ void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
   }
 
   if (controls.sync == SyncMode::kBarrierPerSweep) {
-    const Plan plan = plan_for(workers);
+    const Plan plan = make_plan(workers);
     SpinBarrier barrier(workers);
     std::atomic<bool> stop{false};
     std::atomic<int> sweeps_done{0};
@@ -708,7 +676,7 @@ void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
       std::optional<Plan> shrunk;
       const Plan* my_plan = &plan;
       if (team != workers) {
-        shrunk.emplace(plan_for(team));
+        shrunk.emplace(make_plan(team));
         my_plan = &*shrunk;
       }
       const index_t mine = my_plan->per_sweep(id);
@@ -761,7 +729,7 @@ void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
   // imbalance (the Section 5 "time based scheme").  The clock is consulted
   // once per direction-buffer refill — at most kDirectionChunk (and at most
   // one sweep-equivalent) of updates between checks.
-  const Plan plan = plan_for(workers);
+  const Plan plan = make_plan(workers);
   SpinBarrier barrier(workers);
   std::atomic<bool> stop{false};
   std::atomic<long long> updates_done{0};
@@ -770,7 +738,7 @@ void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
     std::optional<Plan> shrunk;
     const Plan* my_plan = &plan;
     if (team != workers) {
-      shrunk.emplace(plan_for(team));
+      shrunk.emplace(make_plan(team));
       my_plan = &*shrunk;
     }
     const std::uint64_t my_total = my_plan->total_updates(id, sweeps);
@@ -827,6 +795,51 @@ void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
   });
   out.updates = updates_done.load(std::memory_order_relaxed);
   out.iterations = static_cast<int>(out.updates / std::max<index_t>(n, 1));
+}
+
+/// The execution engine shared by every asynchronous solve path.
+///
+/// `update(worker, r, r_ahead)` performs one coordinate update on direction
+/// r; r_ahead is a direction the worker will execute kPrefetchDistance picks
+/// later (clamped to the refill chunk), for cache prefetching — functors may
+/// ignore it.  `residual(worker, team)` evaluates the convergence metric at
+/// synchronization points; it is called by *every* rendezvoused worker
+/// (team-parallel reduction — see TeamReduce) and only worker 0's return
+/// value is used.  The engine calls it only when controls request history
+/// tracking or a tolerance.
+///
+/// `make_plan(team, sampler)` builds the direction schedule for a team size
+/// drawing through `sampling.sampler` — DirectionPlan (see direction_plans)
+/// or PartitionedDirectionPlan.  `sampling` also supplies the rendezvous
+/// refresh.  The engine fills the iteration fields of `out` — iterations,
+/// updates, relative_residual, residual_history — and sets status to
+/// kConverged when the tolerance is met; every other outcome field is the
+/// caller's.
+///
+/// `scratch` (optional) supplies reusable per-worker direction buffers; a
+/// prepared handle passes its own so repeated solves skip the allocations,
+/// while one-shot callers leave it null and pay a local scratch per call.
+template <typename PlanFactory, typename UpdateFn, typename ResidualFn>
+void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
+                int workers, PlanFactory&& make_plan,
+                const EngineSampling& sampling, UpdateFn&& update,
+                ResidualFn&& residual, SolveOutcome& out,
+                EngineScratch* scratch = nullptr) {
+  if (sampling.sampler != nullptr && sampling.sampler->weighted_draws()) {
+    require(controls.scope == RandomizationScope::kShared,
+            "run_engine: weighted direction sampling requires the shared "
+            "randomization scope");
+    require(sampling.sampler->directions() == n,
+            "run_engine: sampler direction count must match the engine");
+  }
+  require(!sampling.refresh || controls.sync != SyncMode::kFreeRunning,
+          "run_engine: sampler refresh needs synchronization points; "
+          "kFreeRunning has none");
+  run_engine_with_plan(
+      pool, controls, n, workers,
+      [&](int team) { return make_plan(team, sampling.sampler); },
+      sampling.refresh, std::forward<UpdateFn>(update),
+      std::forward<ResidualFn>(residual), out, scratch);
 }
 
 /// Plan factory of every unpartitioned run: the shared/owner-computes

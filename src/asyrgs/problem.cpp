@@ -224,8 +224,11 @@ struct PipelineEnv {
 };
 
 /// Where a path's non-uniform direction weights come from.  Both callables
-/// run at setup or at a rendezvous refresh, never per update, and neither
-/// allocates unless its policy is in use.
+/// run at setup or at a rendezvous refresh, never per update.  A template
+/// rather than std::function members so a uniform solve makes no heap
+/// allocation: one left alive during a run measurably slowed 4-worker
+/// barrier solves, by moving the engine's heap-allocated team closure,
+/// which every worker reads on every update.
 template <class Fixed, class Residual>
 struct WeightSource {
   /// The handle's lazily built kWeighted sampler, filled from `fixed()` on

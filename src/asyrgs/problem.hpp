@@ -15,11 +15,11 @@
 //   SolveOutcome              structured result (SolveStatus enum)
 //
 // SolveControls and SolveOutcome (core/async_rgs.hpp) are the only per-call
-// input and output of every solver entry point.  The one-shot free
-// functions (async_rgs_solve, async_lsq_solve, solve_spd, ...) take and
-// return them too and are thin wrappers constructing a temporary handle —
-// identical arithmetic, so equal-seed pinned-scan runs through either
-// interface are bit-identical.
+// input and output of the handles, of the asynchronous one-shot functions
+// (async_rgs_solve, async_rgs_solve_block, async_lsq_solve) and of the
+// engine beneath them.  The one-shot functions, and solve_spd, are thin
+// wrappers constructing a temporary handle — identical arithmetic, so
+// equal-seed pinned-scan runs through either interface are bit-identical.
 //
 // Thread-safety: a handle's prepared state is immutable after construction
 // and its mutable scratch is guarded by an internal (recursive) mutex —

@@ -1,5 +1,5 @@
 // Sampling subsystem tests (sampling/direction_sampler.hpp + the engine's
-// sampled entry point): alias-table build determinism (golden hashes),
+// sampler contract): alias-table build determinism (golden hashes),
 // probability exactness, the raw-bits strided fill, uniform-policy
 // bit-identity with the pre-sampling draw path, and the load-bearing
 // engine invariant — the direction multiset of a fixed (seed, policy) run
