@@ -458,7 +458,7 @@ TEST(PreparedSpd, BorrowedPreconditionerStaysVariable) {
   EXPECT_EQ(problem.stats().solves, solves_before + 2);
 }
 
-// --- (d) outcome pinning across every asynchronous solve path -----------------
+// --- (d) outcome pinning across every asynchronous solve path ---------------
 //
 // Every SolveOutcome field that does not depend on timing or rounding is
 // pinned for each asynchronous path (single-RHS, partitioned, block at k = 2
@@ -539,8 +539,9 @@ TEST(OutcomePinning, EveryAsyncPathUnderEveryStorageAndSyncMode) {
   const std::vector<double> b_lsq = random_vector(tall.rows(), 53);
 
   int cases = 0;
-  for (StorageMode mode : {StorageMode::kAuto, StorageMode::kInt64Double,
-                           StorageMode::kInt32Double, StorageMode::kInt32Mixed}) {
+  for (StorageMode mode :
+       {StorageMode::kAuto, StorageMode::kInt64Double,
+        StorageMode::kInt32Double, StorageMode::kInt32Mixed}) {
     SpdProblem spd_problem(pool, spd, /*check_input=*/true, mode);
     LsqProblem lsq_problem(pool, tall, mode);
     const StoragePolicy storage = pin_storage(mode);
