@@ -83,10 +83,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(RandomizationScope::kShared,
                                          RandomizationScope::kOwnerComputes)));
 
-TEST(ModeCombo, NonAtomicComposesWithOwnerComputes) {
-  // Owner-computes partitions make same-coordinate write races impossible
-  // (each coordinate has exactly one writer), so even the racy write mode
-  // loses no updates — a useful deployment configuration.
+TEST(ModeCombo, NonAtomicComposesWithOwnedPartitions) {
+  // Partitioned scheduling at steal rate 0 gives every coordinate exactly
+  // one writer (the worker owning its partition), so even the racy write
+  // mode loses no updates — a useful deployment configuration.
   ThreadPool pool(8);
   const CsrMatrix a = laplacian_2d(12, 12);
   const std::vector<double> x_star = random_vector(a.rows(), 7);
@@ -96,12 +96,14 @@ TEST(ModeCombo, NonAtomicComposesWithOwnerComputes) {
   SolveControls opt;
   opt.sweeps = 4000;
   opt.workers = 8;
-  opt.scope = RandomizationScope::kOwnerComputes;
+  opt.partitions = 8;
+  opt.steal_rate = 0.0;
   opt.atomic_writes = false;
   opt.sync = SyncMode::kBarrierPerSweep;
   opt.rel_tol = 1e-8;
   const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
   EXPECT_TRUE(rep.converged());
+  EXPECT_EQ(rep.partitions_used, 8);
 }
 
 TEST(ModeCombo, SolveSpdHonoursIterationCap) {

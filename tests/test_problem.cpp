@@ -2,12 +2,12 @@
 // analysis once and solve many times, with results bit-identical to the
 // one-shot free functions under the pinned scan at equal seed.
 //
-//  (a) Handle solves equal the free functions bit for bit: at 1 worker in
-//      the shared scope for all three sync modes, and at 1/2/4 workers for
-//      all three sync modes under owner-computes randomization on a
-//      block-diagonal matrix whose blocks align with every tested worker
-//      partition (no cross-partition reads -> every interleaving produces
-//      the same iterate, so multi-worker runs are deterministic).
+//  (a) Handle solves equal the free functions bit for bit: at 1 worker for
+//      every sync mode, and at 1/2/4 workers for every sync mode under
+//      partitioned scheduling at steal rate 0 on a block-diagonal matrix
+//      with one partition per block (no cross-partition reads -> every
+//      interleaving produces the same iterate, so multi-worker runs are
+//      deterministic).
 //  (b) Preparation is amortized: symmetry/diagonal/rank validation runs
 //      once per problem (not per solve), the LSQ transpose is built once
 //      and shared through the CsrMatrix cache, and a repeat solve performs
@@ -33,30 +33,12 @@
 #include "asyrgs/solve.hpp"
 #include "asyrgs/sparse/coo.hpp"
 #include "asyrgs/support/prng.hpp"
+#include "owned_blocks.hpp"
 
 namespace asyrgs {
 namespace {
 
-/// Block-diagonal SPD matrix: `blocks` tridiagonal (2, -1) blocks of
-/// `block_size` rows each.  With n = blocks * block_size and worker counts
-/// that divide `blocks`, owner-computes partitions never straddle a block,
-/// so no worker ever reads another worker's coordinates and the solve is
-/// bit-deterministic at any team size.
-CsrMatrix block_diag_tridiagonal(int blocks, index_t block_size) {
-  const index_t n = blocks * block_size;
-  CooBuilder builder(n, n);
-  for (int blk = 0; blk < blocks; ++blk) {
-    const index_t lo = blk * block_size;
-    for (index_t i = 0; i < block_size; ++i) {
-      builder.add(lo + i, lo + i, 2.0);
-      if (i + 1 < block_size) {
-        builder.add(lo + i, lo + i + 1, -1.0);
-        builder.add(lo + i + 1, lo + i, -1.0);
-      }
-    }
-  }
-  return builder.to_csr();
-}
+using test::block_diag_tridiagonal;
 
 /// Tall full-column-rank matrix for the least-squares handle tests.
 CsrMatrix tall_matrix(index_t rows, index_t cols, std::uint64_t seed) {
@@ -102,25 +84,24 @@ TEST(PreparedSpd, SecondSolveBitIdenticalToFreeFunctionOneWorker) {
   }
 }
 
-TEST(PreparedSpd, OwnerComputesBitIdenticalAcrossWorkersAndSyncModes) {
-  // Block-diagonal + owner-computes: partitions at 1/2/4 workers align with
-  // block boundaries, so multi-worker runs are fully deterministic and the
-  // handle/free-function comparison is exact even on a racy shared iterate.
+TEST(PreparedSpd, OwnedPartitionsBitIdenticalAcrossWorkersAndSyncModes) {
+  // Block-diagonal + one partition per block at steal rate 0
+  // (tests/owned_blocks.hpp): no worker reads another's coordinates, so
+  // multi-worker runs are fully deterministic and the handle/free-function
+  // comparison is exact even on a racy shared iterate.
   ThreadPool pool(4);
-  const CsrMatrix a = block_diag_tridiagonal(/*blocks=*/4, /*block_size=*/12);
+  const CsrMatrix a = block_diag_tridiagonal(/*blocks=*/4);
+  test::expect_owned_only_cut(a, 4);
   const std::vector<double> b = random_vector(a.rows(), 5);
 
   SpdProblem problem(pool, a);
-  for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep,
-                        SyncMode::kTimedBarrier}) {
+  for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep}) {
     for (int workers : {1, 2, 4}) {
-      SolveControls opt;
+      SolveControls opt = test::owned_block_controls(4);
       opt.sweeps = 30;
       opt.seed = 23;
       opt.workers = workers;
       opt.sync = sync;
-      opt.scope = RandomizationScope::kOwnerComputes;
-      opt.sync_interval_seconds = 0.002;
 
       std::vector<double> x_free(a.rows(), 0.0);
       async_rgs_solve(pool, a, b, x_free, opt);

@@ -7,8 +7,9 @@
 //  (b) Determinism under sharding: a fixed-seed request yields a
 //      bit-identical result regardless of which shard executes it and
 //      regardless of the service's shard count (1 / 2 / 4), matching the
-//      single-handle reference — including multi-worker owner-computes
-//      teams on a block-diagonal matrix (every interleaving identical).
+//      single-handle reference — including multi-worker partitioned teams
+//      on a block-diagonal matrix with one partition per block and no
+//      steals (every interleaving identical).
 //  (c) Amortization across shards: shard 0 pays the per-matrix analysis;
 //      clones re-validate nothing (ProblemStats at zero validation passes /
 //      transpose builds) and the matrix-level transpose is built once for
@@ -44,31 +45,13 @@
 #include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/problem.hpp"
 #include "asyrgs/serve/service.hpp"
-#include "asyrgs/sparse/coo.hpp"
 #include "asyrgs/support/prng.hpp"
+#include "owned_blocks.hpp"
 
 namespace asyrgs {
 namespace {
 
-/// Block-diagonal SPD matrix whose blocks align with every tested worker
-/// partition (same construction as test_problem.cpp): under owner-computes
-/// randomization no worker reads another's coordinates, so multi-worker
-/// runs are bit-deterministic.
-CsrMatrix block_diag_tridiagonal(int blocks, index_t block_size) {
-  const index_t n = blocks * block_size;
-  CooBuilder builder(n, n);
-  for (int blk = 0; blk < blocks; ++blk) {
-    const index_t lo = blk * block_size;
-    for (index_t i = 0; i < block_size; ++i) {
-      builder.add(lo + i, lo + i, 2.0);
-      if (i + 1 < block_size) {
-        builder.add(lo + i, lo + i + 1, -1.0);
-        builder.add(lo + i + 1, lo + i, -1.0);
-      }
-    }
-  }
-  return builder.to_csr();
-}
+using test::block_diag_tridiagonal;
 
 ServiceOptions two_shard_options() {
   ServiceOptions o;
@@ -241,18 +224,19 @@ TEST(SolverService, FixedSeedLeastSquaresAndBlockMatchSingleHandle) {
   }
 }
 
-TEST(SolverService, OwnerComputesMultiWorkerTeamsStayDeterministic) {
-  // Multi-worker teams inside the shards: owner-computes on a
-  // block-diagonal matrix makes every interleaving produce the same bits,
-  // so the cross-shard comparison stays exact even at team size 2.
-  const CsrMatrix a = block_diag_tridiagonal(/*blocks=*/4, /*block_size=*/12);
+TEST(SolverService, OwnedPartitionsMultiWorkerTeamsStayDeterministic) {
+  // Multi-worker teams inside the shards: one partition per block of a
+  // block-diagonal matrix at steal rate 0 (tests/owned_blocks.hpp) makes
+  // every interleaving produce the same bits, so the cross-shard
+  // comparison stays exact even at team size 2.
+  const CsrMatrix a = block_diag_tridiagonal(/*blocks=*/4);
+  test::expect_owned_only_cut(a, 4);
   const std::vector<double> b = random_vector(a.rows(), 5);
 
-  SolveControls controls;
+  SolveControls controls = test::owned_block_controls(4);
   controls.sweeps = 30;
   controls.seed = 23;
   controls.workers = 2;
-  controls.scope = RandomizationScope::kOwnerComputes;
   controls.sync = SyncMode::kBarrierPerSweep;
 
   ThreadPool pool(2);

@@ -31,9 +31,9 @@
 #include "asyrgs/gen/rhs.hpp"
 #include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/problem.hpp"
-#include "asyrgs/sparse/coo.hpp"
 #include "asyrgs/sparse/io.hpp"
 #include "asyrgs/support/thread_pool.hpp"
+#include "owned_blocks.hpp"
 
 namespace asyrgs {
 namespace {
@@ -54,24 +54,7 @@ std::uint64_t fnv1a(const std::vector<double>& x) {
   return h;
 }
 
-/// Same block-diagonal construction as test_problem.cpp: blocks align with
-/// every tested worker partition, so owner-computes runs are deterministic
-/// at any team size.
-CsrMatrix block_diag_tridiagonal(int blocks, index_t block_size) {
-  const index_t n = blocks * block_size;
-  CooBuilder builder(n, n);
-  for (int blk = 0; blk < blocks; ++blk) {
-    const index_t lo = blk * block_size;
-    for (index_t i = 0; i < block_size; ++i) {
-      builder.add(lo + i, lo + i, 2.0);
-      if (i + 1 < block_size) {
-        builder.add(lo + i, lo + i + 1, -1.0);
-        builder.add(lo + i + 1, lo + i, -1.0);
-      }
-    }
-  }
-  return builder.to_csr();
-}
+using test::block_diag_tridiagonal;
 
 const SyncMode kSyncModes[] = {SyncMode::kFreeRunning,
                                SyncMode::kBarrierPerSweep,
@@ -106,30 +89,28 @@ TEST(StorageGolden, SharedScopeSingleWorkerMatchesPreRefactor) {
   }
 }
 
-TEST(StorageGolden, OwnerComputesMultiWorkerMatchesPreRefactor) {
-  struct Case {
-    int workers;
-    std::uint64_t hash;
-  };
-  const Case cases[] = {{1, 0x2ec0494299f96491ull},
-                        {2, 0xf942a77f57fa9520ull},
-                        {4, 0x875f6e413e210de5ull}};
+TEST(StorageGolden, OwnedPartitionsMultiWorkerMatchRecordedHashes) {
+  // One partition per block, no steals (tests/owned_blocks.hpp): every
+  // interleaving produces the same bits, so one hash covers every team size
+  // and both sync modes.  Captured with this recipe while the engine still
+  // carried the owner-computes scope and the timed barrier; their removal
+  // left it unchanged.
+  constexpr std::uint64_t kGolden = 0xd9fcfca229b99110ull;
   ThreadPool pool(4);
-  const CsrMatrix a = block_diag_tridiagonal(4, 12);
+  const CsrMatrix a = block_diag_tridiagonal(4);
+  test::expect_owned_only_cut(a, 4);
   const std::vector<double> b = random_vector(a.rows(), 5);
-  for (SyncMode sync : kSyncModes) {
-    for (const Case& c : cases) {
-      SolveControls opt;
+  for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep}) {
+    for (int workers : {1, 2, 4}) {
+      SolveControls opt = test::owned_block_controls(4);
       opt.sweeps = 30;
       opt.seed = 23;
-      opt.workers = c.workers;
+      opt.workers = workers;
       opt.sync = sync;
-      opt.scope = RandomizationScope::kOwnerComputes;
-      opt.sync_interval_seconds = 0.002;
       std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
       async_rgs_solve(pool, a, b, x, opt);
-      EXPECT_EQ(fnv1a(x), c.hash)
-          << "workers " << c.workers << " sync " << static_cast<int>(sync);
+      EXPECT_EQ(fnv1a(x), kGolden)
+          << "workers " << workers << " sync " << static_cast<int>(sync);
     }
   }
 }
@@ -297,16 +278,16 @@ TEST(StoragePolicyTest, ExplicitFullWidthStaysDefault) {
 
 TEST(StoragePolicyTest, Int32SolveBitIdenticalToFullWidth) {
   ThreadPool pool(4);
-  const CsrMatrix a = block_diag_tridiagonal(4, 12);
+  const CsrMatrix a = block_diag_tridiagonal(4);
+  test::expect_owned_only_cut(a, 4);
   const std::vector<double> b = random_vector(a.rows(), 7);
   SpdProblem wide(pool, a, true, StorageMode::kInt64Double);
   SpdProblem narrow(pool, a, true, StorageMode::kInt32Double);
   for (int workers : {1, 2, 4}) {
-    SolveControls controls;
+    SolveControls controls = test::owned_block_controls(4);
     controls.sweeps = 20;
     controls.seed = 29;
     controls.workers = workers;
-    controls.scope = RandomizationScope::kOwnerComputes;
     controls.sync = SyncMode::kBarrierPerSweep;
     std::vector<double> x_wide(static_cast<std::size_t>(a.rows()), 0.0);
     std::vector<double> x_narrow = x_wide;
