@@ -212,12 +212,10 @@ void BM_UpdateKernelSpecialized(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateKernelSpecialized);
 
-/// DirectionPlan buffer refill (shared scope, team of 4): the per-update
-/// direction cost the engine actually pays.
+/// DirectionPlan buffer refill (team of 4): the per-update direction cost
+/// the engine actually pays.
 void BM_DirectionPlanFill(benchmark::State& state) {
-  SolveControls opt;
-  opt.seed = 42;
-  const detail::DirectionPlan plan(opt, 120147, 4);
+  const detail::DirectionPlan plan(/*seed=*/42, 120147, 4);
   std::vector<index_t> buf(detail::kDirectionChunk);
   std::uint64_t k = 0;
   for (auto _ : state) {

@@ -39,11 +39,12 @@ RgsReport rcd_lsq_solve(const CsrMatrix& a, const std::vector<double>& b,
 /// solver CSR access to the columns of A).  Runs through a temporary
 /// LsqProblem with `controls.method` pinned to kAsyncRgs (coordinate
 /// descent); `step_size` must be < 1 for the Theorem 5 guarantee.
-/// `scope` partitions the *columns* (the least-squares coordinates) under
-/// RandomizationScope::kOwnerComputes, and `scan` selects the FP
-/// association of the inner row scans (ScanMode; the kernel's dominant FP
-/// cost).  Thread-safety matches async_rgs_solve: matrices and b are
-/// read-only, `x` is written concurrently until the call returns.
+/// Directions are columns (the least-squares coordinates), drawn from one
+/// Philox stream by every worker; partitioned scheduling does not apply.
+/// `scan` selects the FP association of the inner row scans (ScanMode; the
+/// kernel's dominant FP cost).  Thread-safety matches async_rgs_solve:
+/// matrices and b are read-only, `x` is written concurrently until the call
+/// returns.
 SolveOutcome async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
                              const CsrMatrix& at, const std::vector<double>& b,
                              std::vector<double>& x,

@@ -51,32 +51,6 @@ namespace asyrgs {
 enum class SyncMode {
   kFreeRunning,      ///< fully asynchronous across sweeps
   kBarrierPerSweep,  ///< occasional synchronization (one barrier per sweep)
-  /// Time-based occasional synchronization (Section 5 discussion: "a time
-  /// based scheme for synchronizing the processors should be sufficient,
-  /// and will not suffer from large wait times due to load imbalance"):
-  /// workers run freely and rendezvous whenever `sync_interval_seconds` has
-  /// elapsed; residual checks/early stopping happen at the rendezvous.
-  kTimedBarrier,
-};
-
-/// Randomization scope (Section 10 / limitations discussion).
-enum class RandomizationScope {
-  /// Every worker may update every coordinate (the paper's algorithm; the
-  /// analyzed model).
-  kShared,
-  /// "Owner computes": worker w draws rows only from its contiguous
-  /// partition — the restricted randomization the paper proposes for the
-  /// distributed-memory setting and as a cache-miss mitigation.  Each
-  /// partition runs its own Philox stream; updates still read the shared
-  /// iterate across partition boundaries.
-  ///
-  /// Pair this scope with kBarrierPerSweep or kTimedBarrier when running a
-  /// *finite* budget: under kFreeRunning a worker that drains its budget
-  /// early leaves its partition frozen against neighbours' mid-solve
-  /// values, and no other worker can repair it (shared-scope randomization
-  /// self-repairs; partitioned randomization cannot).  With synchronized
-  /// sweeps, or when iterating to a residual tolerance, the scope is safe.
-  kOwnerComputes,
 };
 
 /// Floating-point association of the CSR row scan inside each coordinate
@@ -162,13 +136,11 @@ struct SolveControls {
   int workers = 0;           ///< team size; 0 = pool capacity; < 0 rejected
   bool atomic_writes = true; ///< false = racy "non atomic" variant
   SyncMode sync = SyncMode::kFreeRunning;
-  RandomizationScope scope = RandomizationScope::kShared;
   /// Row-scan FP association; kPinned preserves bit reproducibility, while
   /// kReassociated trades it for multi-accumulator/SIMD scan throughput.
   ScanMode scan = ScanMode::kPinned;
-  double sync_interval_seconds = 0.05;  ///< kTimedBarrier rendezvous cadence
-  /// With kBarrierPerSweep/kTimedBarrier: record the relative residual at
-  /// each synchronization (SolveOutcome::residual_history).
+  /// With kBarrierPerSweep: record the relative residual at each
+  /// synchronization (SolveOutcome::residual_history).
   bool track_history = false;
   /// Target on the method's convergence metric (relative residual; normal
   /// equations residual for least squares).  0 disables tolerance stopping;
@@ -178,15 +150,15 @@ struct SolveControls {
   int inner_sweeps = 2;
   /// Direction-draw distribution for the asynchronous methods (see
   /// sampling/direction_sampler.hpp).  kUniform is the paper's setting and
-  /// bit-identical to the pre-sampling engine.  Non-uniform policies
-  /// require RandomizationScope::kShared; kResidual additionally requires
-  /// a synchronizing mode (its table refreshes at rendezvous) and the
+  /// bit-identical to the pre-sampling engine.  Non-uniform policies apply
+  /// to the unpartitioned engine; kResidual additionally requires
+  /// kBarrierPerSweep (its table refreshes at rendezvous) and the
   /// single-RHS paths.  The Krylov methods reject non-uniform policies —
   /// they draw no random directions.
   SamplingPolicy sampling = SamplingPolicy::kUniform;
   /// kResidual only: rebuild the residual-weighted table every this many
-  /// synchronization rendezvous (sweeps under kBarrierPerSweep, rounds
-  /// under kTimedBarrier).  Must be >= 1; see docs/TUNING.md for sizing.
+  /// sweeps (kBarrierPerSweep rendezvous).  Must be >= 1; see
+  /// docs/TUNING.md for sizing.
   int resample_sweeps = 8;
   /// Topology-aware partitioned scheduling (SpdProblem single-RHS AsyRGS
   /// only).  0 = off (the paper's any-worker-any-coordinate model).  >= 1
@@ -195,7 +167,7 @@ struct SolveControls {
   /// worker draw only from the partitions it owns plus their halos — the
   /// locality layer for graph-Laplacian scale (docs/TUNING.md).  Clamped to
   /// the dimension; the clamp is surfaced as SolveOutcome::partitions_used.
-  /// Requires kUniform sampling and RandomizationScope::kShared.
+  /// Requires kUniform sampling.
   int partitions = 0;
   /// Probability in [0, 1) that a partitioned draw steals a halo row
   /// (a neighbour-owned boundary row) instead of an owned row — the

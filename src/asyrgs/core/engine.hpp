@@ -2,7 +2,7 @@
 //
 // The hot loop common to every asynchronous solve path (single-RHS,
 // partitioned, block, least-squares coordinate descent, Kaczmarz): direction
-// planning, the three synchronization modes, and team-parallel residual
+// planning, the two synchronization modes, and team-parallel residual
 // evaluation at synchronization points.  It reads SolveControls and fills
 // SolveOutcome (core/async_rgs.hpp).  Everything here is an
 // implementation detail of the solve pipeline in problem.cpp — the header
@@ -15,9 +15,9 @@
 //  * Directions are drawn in batches.  Each worker refills a reusable
 //    direction buffer via Philox4x32::fill_indices[_strided] — a few ns per
 //    draw instead of a full 10-round Philox evaluation per update — and the
-//    once-per-sweep-equivalent yield (oversubscribed hosts) and the clock
-//    check (timed mode) happen only at refill boundaries, so the per-update
-//    path contains no modulo, no branch on sync mode, and no timer call.
+//    once-per-sweep-equivalent yield (oversubscribed hosts) happens only at
+//    refill boundaries, so the per-update path contains no modulo and no
+//    branch on sync mode.
 //  * The update functor is a concrete struct templated on atomicity, not a
 //    std::function and not a runtime `atomic_writes` branch.
 //  * Residuals at synchronization points run as a team-wide parallel
@@ -42,7 +42,6 @@
 #include "asyrgs/support/barrier.hpp"
 #include "asyrgs/support/prng.hpp"
 #include "asyrgs/support/thread_pool.hpp"
-#include "asyrgs/support/timer.hpp"
 
 namespace asyrgs::detail {
 
@@ -58,21 +57,17 @@ inline constexpr std::size_t kDirectionChunk = 1024;
 /// arrays; measured best in the 2-8 range, flat beyond.
 inline constexpr std::size_t kPrefetchDistance = 4;
 
-/// Per-worker direction schedule honouring the randomization scope.
-///
-/// kShared: one Philox stream over global indices; worker w consumes
-/// positions {w, w+P, ...} (free-running/timed) or the per-sweep split
-/// (barrier mode) — all modes consume the identical direction multiset.
-///
-/// kOwnerComputes: worker w owns the contiguous partition
-/// [w*n/P-ish, ...) and draws uniformly from it via a worker-keyed stream.
+/// Per-worker direction schedule of the unpartitioned engine: one Philox
+/// stream over global indices; worker w consumes positions {w, w+P, ...}
+/// (free-running) or the per-sweep split (barrier mode) — both modes
+/// consume the identical direction multiset.
 ///
 /// `pick`/`pick_in_sweep` evaluate one direction (kept for tests and as the
 /// executable specification); the `fill*` APIs produce the same draws in
 /// batches and are what the engine uses.
 ///
 /// The deterministic virtual engine (simulate/virtual_engine.hpp) consumes
-/// this planner too: because the shared scope tiles ONE global Philox stream
+/// this planner too: because the plan tiles ONE global Philox stream
 /// across workers (worker w owns positions {w, w+P, ...}), a team-1 plan
 /// enumerates the identical stream in global order — the virtual engine
 /// replays that global order on a single thread, so its direction multiset
@@ -84,59 +79,32 @@ inline constexpr std::size_t kPrefetchDistance = 4;
 /// calls, byte-identical draws); a weighted sampler pulls the raw 64-bit
 /// words at the SAME stream positions and maps each through its alias
 /// table, so the position multiset — and with it the cross-worker-count
-/// invariance — is untouched.  Weighted draws require the shared scope
-/// (validated by run_engine; owner-computes streams partition the
-/// index space and have no global distribution to weight).
+/// invariance — is untouched.
 class DirectionPlan {
  public:
-  DirectionPlan(const SolveControls& controls, index_t n, int team,
+  DirectionPlan(std::uint64_t seed, index_t n, int team,
                 const DirectionSampler* sampler = nullptr)
-      : scope_(controls.scope), n_(n), team_(team), shared_(controls.seed),
+      : n_(n), team_(team), shared_(seed),
         sampler_(sampler != nullptr && sampler->weighted_draws() ? sampler
                                                                  : nullptr) {
-    ASYRGS_ASSERT(sampler_ == nullptr ||
-                  (scope_ == RandomizationScope::kShared &&
-                   sampler_->directions() == n));
-    if (scope_ == RandomizationScope::kOwnerComputes) {
-      lo_.resize(static_cast<std::size_t>(team));
-      size_.resize(static_cast<std::size_t>(team));
-      streams_.reserve(static_cast<std::size_t>(team));
-      const index_t base = n / team;
-      const index_t extra = n % team;
-      index_t lo = 0;
-      for (int w = 0; w < team; ++w) {
-        const index_t size = base + (w < extra ? 1 : 0);
-        lo_[static_cast<std::size_t>(w)] = lo;
-        size_[static_cast<std::size_t>(w)] = size;
-        lo += size;
-        streams_.emplace_back(
-            splitmix64(controls.seed + 0x9E3779B97F4A7C15ull *
-                                          static_cast<std::uint64_t>(w + 1)));
-      }
-    }
+    ASYRGS_ASSERT(sampler_ == nullptr || sampler_->directions() == n);
   }
 
-  /// Updates worker w performs per sweep.
+  /// Updates worker w performs per sweep: the count of global indices
+  /// congruent to w modulo team in [0, n).  Zero when w >= n (more workers
+  /// than rows: the formula below would round the negative numerator up to
+  /// 1 and steal a position from the next sweep, double-consuming it and
+  /// breaking the multiset invariant).
   [[nodiscard]] index_t per_sweep(int w) const {
-    if (scope_ == RandomizationScope::kOwnerComputes)
-      return size_[static_cast<std::size_t>(w)];
-    // Count of global indices congruent to w modulo team in [0, n); zero
-    // when w >= n (more workers than rows: the formula below would round
-    // the negative numerator up to 1 and steal a position from the next
-    // sweep, double-consuming it and breaking the multiset invariant).
     if (static_cast<index_t>(w) >= n_) return 0;
     return (n_ - 1 - static_cast<index_t>(w)) / team_ + 1;
   }
 
-  /// Total updates worker w performs over `sweeps` sweeps in free-running /
-  /// timed numbering.  For the shared scope this counts the global indices
-  /// congruent to w modulo team in [0, sweeps*n) — exactly tiling the
-  /// global stream so the direction multiset is identical to the
-  /// sequential run.
+  /// Total updates worker w performs over `sweeps` sweeps in free-running
+  /// numbering: the global indices congruent to w modulo team in
+  /// [0, sweeps*n) — exactly tiling the global stream so the direction
+  /// multiset is identical to the sequential run.
   [[nodiscard]] std::uint64_t total_updates(int w, int sweeps) const {
-    if (scope_ == RandomizationScope::kOwnerComputes)
-      return static_cast<std::uint64_t>(sweeps) *
-             static_cast<std::uint64_t>(size_[static_cast<std::size_t>(w)]);
     const std::uint64_t total = static_cast<std::uint64_t>(sweeps) *
                                 static_cast<std::uint64_t>(n_);
     if (static_cast<std::uint64_t>(w) >= total) return 0;
@@ -145,12 +113,8 @@ class DirectionPlan {
            1;
   }
 
-  /// Direction for worker w's k-th update (free-running/timed numbering).
+  /// Direction for worker w's k-th update (free-running numbering).
   [[nodiscard]] index_t pick(int w, std::uint64_t k) const {
-    if (scope_ == RandomizationScope::kOwnerComputes) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      return lo_[sw] + streams_[sw].index_at(k, size_[sw]);
-    }
     const std::uint64_t j =
         static_cast<std::uint64_t>(w) + k * static_cast<std::uint64_t>(team_);
     if (sampler_ != nullptr) return sampler_->map(shared_.at(j));
@@ -159,13 +123,6 @@ class DirectionPlan {
 
   /// Direction for worker w's t-th update of sweep `sweep` (barrier mode).
   [[nodiscard]] index_t pick_in_sweep(int w, int sweep, index_t t) const {
-    if (scope_ == RandomizationScope::kOwnerComputes) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      const std::uint64_t k = static_cast<std::uint64_t>(sweep) *
-                                  static_cast<std::uint64_t>(size_[sw]) +
-                              static_cast<std::uint64_t>(t);
-      return lo_[sw] + streams_[sw].index_at(k, size_[sw]);
-    }
     const std::uint64_t j = static_cast<std::uint64_t>(sweep) *
                                 static_cast<std::uint64_t>(n_) +
                             static_cast<std::uint64_t>(w) +
@@ -177,16 +134,28 @@ class DirectionPlan {
 
   /// out[i] = pick(w, k0 + i) for i in [0, count), batched.
   void fill(int w, std::uint64_t k0, std::size_t count, index_t* out) const {
+    fill_from(static_cast<std::uint64_t>(w) +
+                  k0 * static_cast<std::uint64_t>(team_),
+              count, out);
+  }
+
+  /// out[i] = pick_in_sweep(w, sweep, t0 + i) for i in [0, count), batched.
+  void fill_in_sweep(int w, int sweep, index_t t0, std::size_t count,
+                     index_t* out) const {
+    fill_from(static_cast<std::uint64_t>(sweep) *
+                      static_cast<std::uint64_t>(n_) +
+                  static_cast<std::uint64_t>(w) +
+                  static_cast<std::uint64_t>(t0) *
+                      static_cast<std::uint64_t>(team_),
+              count, out);
+  }
+
+  [[nodiscard]] int team() const noexcept { return team_; }
+
+ private:
+  /// The `count` draws at stream positions first, first + team, ...
+  void fill_from(std::uint64_t first, std::size_t count, index_t* out) const {
     if (count == 0) return;
-    if (scope_ == RandomizationScope::kOwnerComputes) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      streams_[sw].fill_indices(k0, count, size_[sw], out);
-      const index_t lo = lo_[sw];
-      for (std::size_t i = 0; i < count; ++i) out[i] += lo;
-      return;
-    }
-    const std::uint64_t first =
-        static_cast<std::uint64_t>(w) + k0 * static_cast<std::uint64_t>(team_);
     if (sampler_ != nullptr) {
       // Same stream positions, raw words instead of reduced indices; the
       // sampler maps them in place through its alias table.
@@ -199,46 +168,10 @@ class DirectionPlan {
                                  count, n_, out);
   }
 
-  /// out[i] = pick_in_sweep(w, sweep, t0 + i) for i in [0, count), batched.
-  void fill_in_sweep(int w, int sweep, index_t t0, std::size_t count,
-                     index_t* out) const {
-    if (count == 0) return;
-    if (scope_ == RandomizationScope::kOwnerComputes) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      const std::uint64_t k0 = static_cast<std::uint64_t>(sweep) *
-                                   static_cast<std::uint64_t>(size_[sw]) +
-                               static_cast<std::uint64_t>(t0);
-      streams_[sw].fill_indices(k0, count, size_[sw], out);
-      const index_t lo = lo_[sw];
-      for (std::size_t i = 0; i < count; ++i) out[i] += lo;
-      return;
-    }
-    const std::uint64_t first = static_cast<std::uint64_t>(sweep) *
-                                    static_cast<std::uint64_t>(n_) +
-                                static_cast<std::uint64_t>(w) +
-                                static_cast<std::uint64_t>(t0) *
-                                    static_cast<std::uint64_t>(team_);
-    if (sampler_ != nullptr) {
-      shared_.fill_at_strided(first, static_cast<std::uint64_t>(team_), count,
-                              reinterpret_cast<std::uint64_t*>(out));
-      sampler_->map_in_place(out, count);
-      return;
-    }
-    shared_.fill_indices_strided(first, static_cast<std::uint64_t>(team_),
-                                 count, n_, out);
-  }
-
-  [[nodiscard]] int team() const noexcept { return team_; }
-
- private:
-  RandomizationScope scope_;
   index_t n_;
   int team_;
   Philox4x32 shared_;
   const DirectionSampler* sampler_;
-  std::vector<index_t> lo_;
-  std::vector<index_t> size_;
-  std::vector<Philox4x32> streams_;
 };
 
 /// Topology-aware per-worker schedule over a GraphPartition
@@ -251,8 +184,8 @@ class DirectionPlan {
 /// and p), and the position of sweep s's t-th draw in that stream is
 /// s * size_p + t — independent of which worker executes it.  The direction
 /// multiset for a fixed (seed, partition, steal_rate) is therefore
-/// invariant across team sizes: the partitioned analogue of the shared
-/// scope's stream-tiling invariance, with the same test obligations
+/// invariant across team sizes: the partitioned analogue of DirectionPlan's
+/// stream-tiling invariance, with the same test obligations
 /// (tests/test_partition.cpp).
 ///
 /// Each draw consumes one 64-bit word: the high 32 bits decide owned-range
@@ -311,7 +244,7 @@ class PartitionedDirectionPlan {
     return map_draw(streams_[static_cast<std::size_t>(p)].at(k), p);
   }
 
-  /// Direction for worker w's k-th update in free-running/timed numbering
+  /// Direction for worker w's k-th update in free-running numbering
   /// (sweep-major: sweep k / per_sweep, step k % per_sweep).  Requires
   /// per_sweep(w) > 0 — the engine never asks a worker with no owned rows
   /// for a direction (its total is 0).
@@ -582,17 +515,15 @@ class EngineScratch {
 struct EngineSampling {
   /// Distribution of the direction draws; null (or kUniform) keeps the
   /// uniform multiply-reduction path.  Borrowed for the duration of the
-  /// run; weighted draws require RandomizationScope::kShared and a
-  /// direction count equal to the engine's n.
+  /// run; weighted draws require a direction count equal to the engine's n.
   const DirectionSampler* sampler = nullptr;
   /// Residual-policy table refresh, invoked on worker 0 between the two
   /// synchronization barriers (the rest of the team is parked at the
   /// second barrier, so the callback may read the iterate and rebuild the
-  /// sampler's table race-free).  Called once per rendezvous — per sweep
-  /// in kBarrierPerSweep, per round in kTimedBarrier, never in
-  /// kFreeRunning (which has no sync points; callers requiring refresh
-  /// must validate the mode).  The callback owns its own cadence (e.g.
-  /// rebuild every k-th call).
+  /// sampler's table race-free).  Called once per sweep in
+  /// kBarrierPerSweep, never in kFreeRunning (which has no sync points;
+  /// callers requiring refresh must validate the mode).  The callback owns
+  /// its own cadence (e.g. rebuild every k-th call).
   std::function<void()> refresh;
 };
 
@@ -600,7 +531,7 @@ struct EngineSampling {
 /// direction schedule: `make_plan(team)` builds it (DirectionPlan or
 /// PartitionedDirectionPlan — any type with the shared
 /// per_sweep/total_updates/fill/fill_in_sweep interface) for a given team
-/// size, so the three bodies exist once.  The thread pool may shrink a team
+/// size, so the two bodies exist once.  The thread pool may shrink a team
 /// to 1 on nested calls; the engine then builds the matching single-worker
 /// plan lazily instead of paying for a throwaway fallback plan in every
 /// worker.  `refresh` is the EngineSampling rendezvous callback (empty =
@@ -617,8 +548,6 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
   scratch->prepare(workers);
   const bool check_enabled = controls.track_history || controls.rel_tol > 0.0;
   const int sweeps = controls.sweeps;
-  const long long total_target =
-      static_cast<long long>(sweeps) * static_cast<long long>(n);
 
   if (controls.sync == SyncMode::kFreeRunning) {
     const Plan plan = make_plan(workers);
@@ -638,8 +567,9 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
       // Yield once per sweep-equivalent, checked only at refill boundaries
       // (no per-update counter work).  On oversubscribed hosts a worker
       // would otherwise burn its whole budget in a few scheduling quanta,
-      // making the effective delay tau unbounded and stalling owner-computes
-      // partitions; on dedicated hosts the yield stays one syscall per
+      // making the effective delay tau unbounded and leaving the rows it
+      // draws most (its own partitions, under partitioned scheduling)
+      // frozen; on dedicated hosts the yield stays one syscall per
       // sweep-equivalent, never one per refill.
       const std::size_t chunk_cap = static_cast<std::size_t>(
           std::min<std::uint64_t>(kDirectionChunk, per_sweep));
@@ -662,77 +592,16 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
       }
     });
     out.iterations = sweeps;
-    out.updates = total_target;
+    out.updates = static_cast<long long>(sweeps) * static_cast<long long>(n);
     return;
   }
 
-  if (controls.sync == SyncMode::kBarrierPerSweep) {
-    const Plan plan = make_plan(workers);
-    SpinBarrier barrier(workers);
-    std::atomic<bool> stop{false};
-    std::atomic<int> sweeps_done{0};
-    pool.run_team(workers, [&](int id, int team) {
-      const bool full_team = (team == workers && team > 1);
-      std::optional<Plan> shrunk;
-      const Plan* my_plan = &plan;
-      if (team != workers) {
-        shrunk.emplace(make_plan(team));
-        my_plan = &*shrunk;
-      }
-      const index_t mine = my_plan->per_sweep(id);
-      const index_t chunk_cap =
-          std::min<index_t>(static_cast<index_t>(kDirectionChunk),
-                            std::max<index_t>(mine, 1));
-      index_t* const dirs =
-          scratch->dirs(id, static_cast<std::size_t>(chunk_cap));
-      for (int sweep = 0; sweep < sweeps; ++sweep) {
-        index_t t = 0;
-        while (t < mine) {
-          const std::size_t chunk =
-              static_cast<std::size_t>(std::min<index_t>(chunk_cap, mine - t));
-          my_plan->fill_in_sweep(id, sweep, t, chunk, dirs);
-          const index_t* d = dirs;
-          for (std::size_t i = 0; i < chunk; ++i)
-            update(id, d[i], d[std::min(i + kPrefetchDistance, chunk - 1)]);
-          t += static_cast<index_t>(chunk);
-        }
-        if (full_team) barrier.arrive_and_wait();
-        const double rel = check_enabled ? residual(id, team) : 0.0;
-        if (id == 0) {
-          sweeps_done.store(sweep + 1, std::memory_order_relaxed);
-          if (check_enabled) {
-            out.relative_residual = rel;
-            if (controls.track_history) out.residual_history.push_back(rel);
-            if (controls.rel_tol > 0.0 && rel <= controls.rel_tol) {
-              out.status = SolveStatus::kConverged;
-              stop.store(true, std::memory_order_release);
-            }
-          }
-          // Residual-policy table refresh: the team is parked at the next
-          // barrier, so worker 0 may rebuild the sampler race-free; the
-          // barrier release orders the new table before any later draw.
-          if (refresh && !stop.load(std::memory_order_relaxed)) refresh();
-        }
-        if (full_team) barrier.arrive_and_wait();
-        if (stop.load(std::memory_order_acquire)) break;
-      }
-    });
-    out.iterations = sweeps_done.load(std::memory_order_relaxed);
-    out.updates = static_cast<long long>(out.iterations) *
-                  static_cast<long long>(n);
-    return;
-  }
-
-  // kTimedBarrier: rounds of `sync_interval_seconds` of free iteration
-  // followed by a rendezvous.  Each worker runs on its own clock, so all
-  // arrive at the barrier at nearly the same moment regardless of load
-  // imbalance (the Section 5 "time based scheme").  The clock is consulted
-  // once per direction-buffer refill — at most kDirectionChunk (and at most
-  // one sweep-equivalent) of updates between checks.
+  // kBarrierPerSweep: each worker runs its share of a sweep, then the team
+  // rendezvouses for the residual check and the sampler refresh.
   const Plan plan = make_plan(workers);
   SpinBarrier barrier(workers);
   std::atomic<bool> stop{false};
-  std::atomic<long long> updates_done{0};
+  std::atomic<int> sweeps_done{0};
   pool.run_team(workers, [&](int id, int team) {
     const bool full_team = (team == workers && team > 1);
     std::optional<Plan> shrunk;
@@ -741,60 +610,47 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
       shrunk.emplace(make_plan(team));
       my_plan = &*shrunk;
     }
-    const std::uint64_t my_total = my_plan->total_updates(id, sweeps);
-    const std::uint64_t per_sweep = static_cast<std::uint64_t>(
-        std::max<index_t>(my_plan->per_sweep(id), 1));
-    const std::size_t chunk_cap = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kDirectionChunk, per_sweep));
-    index_t* const dirs = scratch->dirs(id, chunk_cap);
-    std::uint64_t k = 0;
-    std::uint64_t since_yield = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      WallTimer round_timer;
-      std::uint64_t done_this_round = 0;
-      while (k < my_total) {
-        const std::size_t chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(chunk_cap, my_total - k));
-        my_plan->fill(id, k, chunk, dirs);
+    const index_t mine = my_plan->per_sweep(id);
+    const index_t chunk_cap =
+        std::min<index_t>(static_cast<index_t>(kDirectionChunk),
+                          std::max<index_t>(mine, 1));
+    index_t* const dirs =
+        scratch->dirs(id, static_cast<std::size_t>(chunk_cap));
+    for (int sweep = 0; sweep < sweeps; ++sweep) {
+      index_t t = 0;
+      while (t < mine) {
+        const std::size_t chunk =
+            static_cast<std::size_t>(std::min<index_t>(chunk_cap, mine - t));
+        my_plan->fill_in_sweep(id, sweep, t, chunk, dirs);
         const index_t* d = dirs;
         for (std::size_t i = 0; i < chunk; ++i)
           update(id, d[i], d[std::min(i + kPrefetchDistance, chunk - 1)]);
-        k += chunk;
-        done_this_round += chunk;
-        // Refill boundary: yield once per sweep-equivalent so the scheduler
-        // rotates the team, then check whether this round's time budget is
-        // spent (clock consulted per refill, not per update).
-        since_yield += chunk;
-        if (team > 1 && since_yield >= per_sweep) {
-          since_yield = 0;
-          std::this_thread::yield();
-        }
-        if (round_timer.seconds() >= controls.sync_interval_seconds) break;
+        t += static_cast<index_t>(chunk);
       }
-      updates_done.fetch_add(static_cast<long long>(done_this_round),
-                             std::memory_order_relaxed);
       if (full_team) barrier.arrive_and_wait();
       const double rel = check_enabled ? residual(id, team) : 0.0;
       if (id == 0) {
-        bool should_stop =
-            updates_done.load(std::memory_order_relaxed) >= total_target;
+        sweeps_done.store(sweep + 1, std::memory_order_relaxed);
         if (check_enabled) {
           out.relative_residual = rel;
           if (controls.track_history) out.residual_history.push_back(rel);
           if (controls.rel_tol > 0.0 && rel <= controls.rel_tol) {
             out.status = SolveStatus::kConverged;
-            should_stop = true;
+            stop.store(true, std::memory_order_release);
           }
         }
-        // Same rendezvous-refresh contract as kBarrierPerSweep above.
-        if (refresh && !should_stop) refresh();
-        if (should_stop) stop.store(true, std::memory_order_release);
+        // Residual-policy table refresh: the team is parked at the next
+        // barrier, so worker 0 may rebuild the sampler race-free; the
+        // barrier release orders the new table before any later draw.
+        if (refresh && !stop.load(std::memory_order_relaxed)) refresh();
       }
       if (full_team) barrier.arrive_and_wait();
+      if (stop.load(std::memory_order_acquire)) break;
     }
   });
-  out.updates = updates_done.load(std::memory_order_relaxed);
-  out.iterations = static_cast<int>(out.updates / std::max<index_t>(n, 1));
+  out.iterations = sweeps_done.load(std::memory_order_relaxed);
+  out.updates = static_cast<long long>(out.iterations) *
+                static_cast<long long>(n);
 }
 
 /// The execution engine shared by every asynchronous solve path.
@@ -825,13 +681,9 @@ void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
                 const EngineSampling& sampling, UpdateFn&& update,
                 ResidualFn&& residual, SolveOutcome& out,
                 EngineScratch* scratch = nullptr) {
-  if (sampling.sampler != nullptr && sampling.sampler->weighted_draws()) {
-    require(controls.scope == RandomizationScope::kShared,
-            "run_engine: weighted direction sampling requires the shared "
-            "randomization scope");
+  if (sampling.sampler != nullptr && sampling.sampler->weighted_draws())
     require(sampling.sampler->directions() == n,
             "run_engine: sampler direction count must match the engine");
-  }
   require(!sampling.refresh || controls.sync != SyncMode::kFreeRunning,
           "run_engine: sampler refresh needs synchronization points; "
           "kFreeRunning has none");
@@ -842,13 +694,11 @@ void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
       std::forward<ResidualFn>(residual), out, scratch);
 }
 
-/// Plan factory of every unpartitioned run: the shared/owner-computes
-/// DirectionPlan over `controls`' scope and seed, drawing through the run's
-/// sampler.  `controls` must outlive the factory.
-[[nodiscard]] inline auto direction_plans(const SolveControls& controls,
-                                          index_t n) {
-  return [&controls, n](int team, const DirectionSampler* sampler) {
-    return DirectionPlan(controls, n, team, sampler);
+/// Plan factory of every unpartitioned run: the DirectionPlan over `seed`,
+/// drawing through the run's sampler.
+[[nodiscard]] inline auto direction_plans(std::uint64_t seed, index_t n) {
+  return [seed, n](int team, const DirectionSampler* sampler) {
+    return DirectionPlan(seed, n, team, sampler);
   };
 }
 

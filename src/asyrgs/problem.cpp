@@ -93,9 +93,6 @@ void validate_controls(const SolveControls& c, const char* who, bool engine,
     if (c.sampling != SamplingPolicy::kUniform)
       fail("partitioned scheduling draws uniformly within partitions; "
            "non-uniform sampling policies apply to the unpartitioned engine");
-    if (c.scope != RandomizationScope::kShared)
-      fail("partitioned scheduling supplies its own ownership structure; use "
-           "the shared randomization scope");
   }
   if (!engine) {
     if (c.sampling != SamplingPolicy::kUniform)
@@ -107,20 +104,13 @@ void validate_controls(const SolveControls& c, const char* who, bool engine,
   if (!(c.step_size > 0.0 && c.step_size < 2.0))
     fail("step size must be in (0, 2)");
   if (c.rel_tol < 0.0) fail("rel_tol must be non-negative");
-  if (!(c.sync_interval_seconds > 0.0)) fail("sync interval must be positive");
-  if (c.sampling == SamplingPolicy::kUniform) return;
-  if (c.scope != RandomizationScope::kShared)
-    fail("non-uniform sampling requires the shared randomization scope "
-         "(owner-computes partitions have no global distribution)");
-  if (c.sampling == SamplingPolicy::kResidual) {
-    if (!residual_ok)
-      fail("residual-weighted sampling is single-right-hand-side only");
-    if (c.sync == SyncMode::kFreeRunning)
-      fail("residual-weighted sampling refreshes its table at "
-           "synchronization points; use barrier-per-sweep or timed-barrier "
-           "mode");
-    if (c.resample_sweeps < 1) fail("resample_sweeps must be at least 1");
-  }
+  if (c.sampling != SamplingPolicy::kResidual) return;
+  if (!residual_ok)
+    fail("residual-weighted sampling is single-right-hand-side only");
+  if (c.sync == SyncMode::kFreeRunning)
+    fail("residual-weighted sampling refreshes its table at "
+         "synchronization points; use barrier-per-sweep mode");
+  if (c.resample_sweeps < 1) fail("resample_sweeps must be at least 1");
 }
 
 std::string sampling_note(const SolveControls& controls) {
@@ -185,8 +175,6 @@ const char* sync_name(SyncMode sync) {
       return "free running";
     case SyncMode::kBarrierPerSweep:
       return "barrier per sweep";
-    case SyncMode::kTimedBarrier:
-      return "timed barrier";
   }
   return "?";
 }
@@ -563,7 +551,7 @@ SolveOutcome SpdProblem::solve_async(const std::vector<double>& b,
             },
             single_rhs_launcher(a, scratch_->rhs_diag.data(), x.data(),
                                 controls.step_size),
-            detail::direction_plans(controls, a.rows()));
+            detail::direction_plans(controls.seed, a.rows()));
       },
       stored_);
 }
@@ -762,7 +750,7 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
               return detail::BlockResidual(a, b, x, workers,
                                            scratch_->engine.reduce(workers));
             },
-            launch, detail::direction_plans(controls, a.rows()));
+            launch, detail::direction_plans(controls.seed, a.rows()));
       },
       stored_);
   out.method_used = SpdMethod::kAsyncRgs;
@@ -909,7 +897,7 @@ SolveOutcome LsqProblem::solve(const std::vector<double>& b,
                     a.row_ptr().data(), a.col_idx().data(), a.values().data(),
                     b.data(), inv_row_sq_.data(), x.data(), beta});
               },
-              detail::direction_plans(controls, a.rows()));
+              detail::direction_plans(controls.seed, a.rows()));
         }
         // Coordinate descent: directions are the columns of A; `rbuf` is
         // the residual-weight scratch of a.rows() doubles.
@@ -932,7 +920,7 @@ SolveOutcome LsqProblem::solve(const std::vector<double>& b,
               run(detail::LsqUpdate<kAtomic, kScan, Index, Value>{
                   &a, &at, b.data(), col_sq_.data(), x.data(), beta});
             },
-            detail::direction_plans(controls, a.cols()));
+            detail::direction_plans(controls.seed, a.cols()));
       },
       stored_a_, stored_at_);
   out.method_used =

@@ -11,7 +11,7 @@
 //   SpdProblem / LsqProblem   per-problem state: matrix + attached pool +
 //                             cached analysis + reusable solver scratch
 //   SolveControls             per-call knobs: method, tolerance, seed,
-//                             workers, sync/scope/scan, step size
+//                             workers, sync/scan, partitions, step size
 //   SolveOutcome              structured result (SolveStatus enum)
 //
 // SolveControls and SolveOutcome (core/async_rgs.hpp) are the only per-call

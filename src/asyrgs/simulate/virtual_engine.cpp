@@ -60,16 +60,13 @@ class VirtualEngine {
     kernel_ = Kernel{a_.row_ptr().data(), a_.col_idx().data(),
                      a_.values().data(), rhs_diag_.data(), x_.data(),
                      options.step_size};
-    // A team-1 shared-scope plan enumerates the global Philox direction
-    // stream in order — the same stream every physical team size tiles.
-    // A non-uniform sampler maps that stream through its alias table
-    // exactly as the threaded engine's workers do.
+    // A team-1 plan enumerates the global Philox direction stream in order
+    // — the same stream every physical team size tiles.  A non-uniform
+    // sampler maps that stream through its alias table exactly as the
+    // threaded engine's workers do.
     require(sampler == nullptr || sampler->directions() == a.rows(),
             "virtual_engine: sampler size must match the matrix");
-    SolveControls plan_options;
-    plan_options.seed = options.seed;
-    plan_options.scope = RandomizationScope::kShared;
-    plan_.emplace(plan_options, a.rows(), /*team=*/1, sampler);
+    plan_.emplace(options.seed, a.rows(), /*team=*/1, sampler);
     window_rows_.resize(static_cast<std::size_t>(tau) + 1, 0);
     window_deltas_.resize(static_cast<std::size_t>(tau) + 1, 0.0);
     dirs_.resize(detail::kDirectionChunk);

@@ -10,8 +10,8 @@
 // P *virtual* workers (64–1024, far beyond host cores), with concurrency
 // expressed purely as data:
 //
-//  * Directions come from the real detail::DirectionPlan.  The shared scope
-//    tiles one global Philox stream across workers, so the engine replays
+//  * Directions come from the real detail::DirectionPlan.  It tiles one
+//    global Philox stream across workers, so the engine replays
 //    that stream in global update order j = 0, 1, ...; the multiset is
 //    identical to every physical team size, and at P = 1 the sequence is
 //    exactly the sequential `rgs` stream.

@@ -1,6 +1,4 @@
-// Wall-clock timing utilities for benchmarks and time-based synchronization
-// schemes (the paper notes a "time based scheme for synchronizing the
-// processors should be sufficient", Section 5 discussion).
+// Wall-clock timing utilities for solver timings and benchmarks.
 #pragma once
 
 #include <chrono>

@@ -304,20 +304,6 @@ TEST(SamplingValidation, ResidualPolicyNeedsRendezvousAndSanePeriod) {
   EXPECT_EQ(out.sampling_used, SamplingPolicy::kResidual);
 }
 
-TEST(SamplingValidation, NonUniformPoliciesRequireSharedScope) {
-  const CsrMatrix a = laplacian_1d(16);
-  ThreadPool pool(2);
-  SpdProblem problem(pool, a);
-  std::vector<double> b(16, 1.0);
-  std::vector<double> x(16, 0.0);
-
-  SolveControls c;
-  c.method = SpdMethod::kAsyncRgs;
-  c.sampling = SamplingPolicy::kWeighted;
-  c.scope = RandomizationScope::kOwnerComputes;
-  EXPECT_THROW(problem.solve(b, x, c), Error);
-}
-
 TEST(SamplingValidation, LsqProblemRejectsKrylovMethods) {
   LsqFixture p = consistent_problem(40, 20, 21);
   ThreadPool pool(2);

@@ -123,36 +123,10 @@ TEST_P(AsyncLsqThreadsTest, ConvergesMultithreaded) {
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, AsyncLsqThreadsTest,
                          ::testing::Values(1, 4, 8));
 
-TEST(AsyncLsq, OwnerComputesScopeConverges) {
-  // PR-2 behavior previously untested: `scope` partitions the *columns*
-  // among workers (owner-computes over the least-squares coordinates).
-  // Barrier mode per the RandomizationScope guidance — a partition must not
-  // be left frozen by a worker draining a free-running budget early.
-  for (int workers : {2, 4}) {
-    ThreadPool pool(workers);
-    LsqFixture p = consistent_problem(700, 220, 37);
-    std::vector<double> x(220, 0.0);
-    SolveControls opt;
-    opt.sweeps = 6000;
-    opt.seed = 41;
-    opt.step_size = 0.9;
-    opt.workers = workers;
-    opt.scope = RandomizationScope::kOwnerComputes;
-    opt.sync = SyncMode::kBarrierPerSweep;
-    opt.rel_tol = 1e-8;
-    const SolveOutcome rep = async_lsq_solve(pool, p.a, p.b, x, opt);
-    EXPECT_TRUE(rep.converged()) << "workers=" << workers;
-    EXPECT_LE(rep.relative_residual, 1e-8) << "workers=" << workers;
-    EXPECT_LT(nrm2(subtract(x, p.x_star)) / nrm2(p.x_star), 1e-5)
-        << "workers=" << workers;
-  }
-}
-
-TEST(AsyncLsq, TimedBarrierSyncsAndStopsAtTolerance) {
-  // PR-2 behavior previously untested: real timed-barrier rendezvous in the
-  // least-squares solver.  The run must hit the tolerance, record a
-  // residual history entry per rendezvous, and stop early rather than
-  // consuming the (deliberately oversized) sweep budget.
+TEST(AsyncLsq, BarrierTracksHistoryAndStopsAtTolerance) {
+  // Per-sweep rendezvous in the least-squares solver: the run must hit the
+  // tolerance, record one residual history entry per sweep, and stop early
+  // rather than consuming the (deliberately oversized) sweep budget.
   ThreadPool pool(2);
   LsqFixture p = consistent_problem(500, 160, 43);
   std::vector<double> x(160, 0.0);
@@ -161,14 +135,14 @@ TEST(AsyncLsq, TimedBarrierSyncsAndStopsAtTolerance) {
   opt.seed = 47;
   opt.step_size = 0.9;
   opt.workers = 2;
-  opt.sync = SyncMode::kTimedBarrier;
-  opt.sync_interval_seconds = 0.002;
+  opt.sync = SyncMode::kBarrierPerSweep;
   opt.track_history = true;
   opt.rel_tol = 1e-6;
   const SolveOutcome rep = async_lsq_solve(pool, p.a, p.b, x, opt);
   EXPECT_TRUE(rep.converged());
   EXPECT_LE(rep.relative_residual, 1e-6);
-  EXPECT_FALSE(rep.residual_history.empty());
+  EXPECT_EQ(rep.residual_history.size(),
+            static_cast<std::size_t>(rep.iterations));
   EXPECT_LT(rep.updates,
             static_cast<long long>(opt.sweeps) * p.a.cols());
 }

@@ -1,20 +1,16 @@
 // Cross-feature combination tests: every synchronization mode must compose
-// with every randomization scope, for both single- and multi-RHS solves.
+// with single- and multi-RHS solves, racy writes and least squares.
 #include <gtest/gtest.h>
-
-#include <tuple>
 
 #include "asyrgs/asyrgs.hpp"
 
 namespace asyrgs {
 namespace {
 
-class ModeComboTest
-    : public ::testing::TestWithParam<std::tuple<SyncMode, RandomizationScope>> {
-};
+class ModeComboTest : public ::testing::TestWithParam<SyncMode> {};
 
 TEST_P(ModeComboTest, SingleRhsSolvesUnderEveryCombination) {
-  const auto [sync, scope] = GetParam();
+  const SyncMode sync = GetParam();
   ThreadPool pool(8);
   const CsrMatrix a = laplacian_2d(12, 12);
   const std::vector<double> x_star = random_vector(a.rows(), 3);
@@ -25,22 +21,10 @@ TEST_P(ModeComboTest, SingleRhsSolvesUnderEveryCombination) {
   opt.sweeps = 6000;
   opt.workers = 8;
   opt.sync = sync;
-  opt.scope = scope;
-  opt.sync_interval_seconds = 0.002;
   // Free-running mode cannot stop early; give it a fixed budget instead.
   if (sync != SyncMode::kFreeRunning) opt.rel_tol = 1e-7;
   const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
 
-  if (sync == SyncMode::kFreeRunning &&
-      scope == RandomizationScope::kOwnerComputes) {
-    // Documented caveat (RandomizationScope::kOwnerComputes): with a finite
-    // free-running budget, an early-finishing worker's partition freezes
-    // against neighbours' mid-solve values, so only coarse progress is
-    // guaranteed — production use pairs this scope with a synchronization
-    // mode (covered by the other combinations below).
-    EXPECT_LT(relative_residual(a, b, x), 0.5);
-    return;
-  }
   if (sync != SyncMode::kFreeRunning) {
     EXPECT_TRUE(rep.converged());
   }
@@ -49,7 +33,7 @@ TEST_P(ModeComboTest, SingleRhsSolvesUnderEveryCombination) {
 }
 
 TEST_P(ModeComboTest, BlockSolvesUnderEveryCombination) {
-  const auto [sync, scope] = GetParam();
+  const SyncMode sync = GetParam();
   ThreadPool pool(8);
   const CsrMatrix a = laplacian_2d(10, 10);
   const MultiVector x_star = random_multivector(a.rows(), 3, 5);
@@ -60,28 +44,18 @@ TEST_P(ModeComboTest, BlockSolvesUnderEveryCombination) {
   opt.sweeps = 6000;
   opt.workers = 8;
   opt.sync = sync;
-  opt.scope = scope;
-  opt.sync_interval_seconds = 0.002;
   if (sync != SyncMode::kFreeRunning) opt.rel_tol = 1e-7;
   async_rgs_solve_block(pool, a, b, x, opt);
 
   const auto diffs = column_diff_norms(x, x_star);
   const auto norms = column_norms(x_star);
-  const bool frozen_partitions =
-      sync == SyncMode::kFreeRunning &&
-      scope == RandomizationScope::kOwnerComputes;
-  const double tol = frozen_partitions ? 0.5 : 1e-4;  // see single-RHS test
   for (index_t c = 0; c < 3; ++c)
-    EXPECT_LT(diffs[c] / norms[c], tol) << "column " << c;
+    EXPECT_LT(diffs[c] / norms[c], 1e-4) << "column " << c;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllCombinations, ModeComboTest,
-    ::testing::Combine(::testing::Values(SyncMode::kFreeRunning,
-                                         SyncMode::kBarrierPerSweep,
-                                         SyncMode::kTimedBarrier),
-                       ::testing::Values(RandomizationScope::kShared,
-                                         RandomizationScope::kOwnerComputes)));
+INSTANTIATE_TEST_SUITE_P(AllCombinations, ModeComboTest,
+                         ::testing::Values(SyncMode::kFreeRunning,
+                                           SyncMode::kBarrierPerSweep));
 
 TEST(ModeCombo, NonAtomicComposesWithOwnedPartitions) {
   // Partitioned scheduling at steal rate 0 gives every coordinate exactly
@@ -120,7 +94,7 @@ TEST(ModeCombo, SolveSpdHonoursIterationCap) {
   EXPECT_LE(s.iterations, 3);
 }
 
-TEST(ModeCombo, LsqComposesWithTimedBarrier) {
+TEST(ModeCombo, LsqComposesWithBarrierPerSweep) {
   ThreadPool pool(8);
   SocialGramOptions gopt;
   gopt.terms = 300;

@@ -435,10 +435,6 @@ TEST(PartitionedSolve, RejectsInvalidPartitionControls) {
   weighted.sampling = SamplingPolicy::kWeighted;
   EXPECT_THROW((void)problem.solve(b, x, weighted), Error);
 
-  SolveControls owner = partitioned_controls();
-  owner.scope = RandomizationScope::kOwnerComputes;
-  EXPECT_THROW((void)problem.solve(b, x, owner), Error);
-
   SolveControls krylov = partitioned_controls();
   krylov.method = SpdMethod::kCg;
   EXPECT_THROW((void)problem.solve(b, x, krylov), Error);

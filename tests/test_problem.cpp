@@ -60,14 +60,12 @@ TEST(PreparedSpd, SecondSolveBitIdenticalToFreeFunctionOneWorker) {
   const CsrMatrix a = laplacian_2d(9, 9);
   const std::vector<double> b = random_vector(a.rows(), 3);
 
-  for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep,
-                        SyncMode::kTimedBarrier}) {
+  for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep}) {
     SolveControls opt;
     opt.sweeps = 25;
     opt.seed = 17;
     opt.workers = 1;
     opt.sync = sync;
-    opt.sync_interval_seconds = 0.002;
 
     std::vector<double> x_free(a.rows(), 0.0);
     async_rgs_solve(pool, a, b, x_free, opt);
@@ -467,8 +465,6 @@ const char* pin_sync_name(SyncMode sync) {
       return "free running";
     case SyncMode::kBarrierPerSweep:
       return "barrier per sweep";
-    case SyncMode::kTimedBarrier:
-      return "timed barrier";
   }
   return "?";
 }
@@ -529,8 +525,8 @@ TEST(OutcomePinning, EveryAsyncPathUnderEveryStorageAndSyncMode) {
     for (PinPath path : {PinPath::kSingle, PinPath::kPartitioned,
                          PinPath::kBlock2, PinPath::kBlock8, PinPath::kLsq,
                          PinPath::kKaczmarz}) {
-      for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep,
-                            SyncMode::kTimedBarrier}) {
+      for (SyncMode sync :
+           {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep}) {
         for (SamplingPolicy sampling :
              {SamplingPolicy::kUniform, SamplingPolicy::kWeighted,
               SamplingPolicy::kResidual}) {
@@ -552,7 +548,6 @@ TEST(OutcomePinning, EveryAsyncPathUnderEveryStorageAndSyncMode) {
               c.scan = scan;
               c.sampling = sampling;
               c.resample_sweeps = 3;
-              c.sync_interval_seconds = 0.002;
               c.rel_tol = rel_tol;
               // kAuto would pick FCG for the unreachable tolerance on the
               // SPD single-RHS paths; the other paths resolve kAuto to an
@@ -659,9 +654,9 @@ TEST(OutcomePinning, EveryAsyncPathUnderEveryStorageAndSyncMode) {
       }
     }
   }
-  // 4 storage modes x 2 scans x 2 tolerances x 39 (path, sync, sampling)
+  // 4 storage modes x 2 scans x 2 tolerances x 25 (path, sync, sampling)
   // combinations: the table above really ran, not an early-skipped loop.
-  EXPECT_EQ(cases, 4 * 2 * 2 * 39);
+  EXPECT_EQ(cases, 4 * 2 * 2 * 25);
 }
 
 }  // namespace

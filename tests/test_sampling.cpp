@@ -162,13 +162,12 @@ TEST(DirectionSampler, RebuildCountsAndChangesTheTable) {
 // --- DirectionPlan with a sampler -------------------------------------------
 
 TEST(DirectionPlan, UniformSamplerIsBitIdenticalToNoSampler) {
-  SolveControls opt;
-  opt.seed = 17;
+  const std::uint64_t seed = 17;
   const index_t n = 53;
   const DirectionSampler uniform = DirectionSampler::uniform(n);
   for (int team : {1, 2, 4}) {
-    const detail::DirectionPlan bare(opt, n, team);
-    const detail::DirectionPlan sampled(opt, n, team, &uniform);
+    const detail::DirectionPlan bare(seed, n, team);
+    const detail::DirectionPlan sampled(seed, n, team, &uniform);
     for (int w = 0; w < team; ++w) {
       std::vector<index_t> a(400), b(400);
       bare.fill(w, 0, a.size(), a.data());
@@ -181,16 +180,15 @@ TEST(DirectionPlan, UniformSamplerIsBitIdenticalToNoSampler) {
 }
 
 TEST(DirectionPlan, WeightedFillMatchesPickAndMapsTheSharedStream) {
-  SolveControls opt;
-  opt.seed = 29;
+  const std::uint64_t seed = 29;
   const index_t n = 41;
   std::vector<double> w(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i)
     w[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i % 7);
   const DirectionSampler sampler = DirectionSampler::weighted(w.data(), n);
-  const Philox4x32 raw(opt.seed);
+  const Philox4x32 raw(seed);
   for (int team : {1, 2, 4}) {
-    const detail::DirectionPlan plan(opt, n, team, &sampler);
+    const detail::DirectionPlan plan(seed, n, team, &sampler);
     for (int wk = 0; wk < team; ++wk) {
       std::vector<index_t> got(300);
       plan.fill(wk, 2, got.size(), got.data());
@@ -226,8 +224,9 @@ std::vector<index_t> engine_multiset(ThreadPool& pool,
       static_cast<std::size_t>(workers));
   SolveOutcome report;
   auto residual = [](int, int) { return 0.0; };
-  detail::run_engine(pool, opt, n, workers, detail::direction_plans(opt, n),
-                     sampling, RecordingUpdate{&per_worker}, residual, report);
+  detail::run_engine(pool, opt, n, workers,
+                     detail::direction_plans(opt.seed, n), sampling,
+                     RecordingUpdate{&per_worker}, residual, report);
   std::vector<index_t> all;
   for (const auto& v : per_worker) all.insert(all.end(), v.begin(), v.end());
   std::sort(all.begin(), all.end());
@@ -350,9 +349,9 @@ TEST(SampledEngine, RejectsRefreshUnderFreeRunning) {
   SolveOutcome report;
   auto residual = [](int, int) { return 0.0; };
   EXPECT_THROW(detail::run_engine(pool, opt, n, 1,
-                                  detail::direction_plans(opt, n), sampling,
-                                  RecordingUpdate{&per_worker}, residual,
-                                  report),
+                                  detail::direction_plans(opt.seed, n),
+                                  sampling, RecordingUpdate{&per_worker},
+                                  residual, report),
                Error);
 }
 
@@ -370,9 +369,9 @@ TEST(SampledEngine, RejectsSamplerSizeMismatch) {
   SolveOutcome report;
   auto residual = [](int, int) { return 0.0; };
   EXPECT_THROW(detail::run_engine(pool, opt, /*n=*/9, 1,
-                                  detail::direction_plans(opt, 9), sampling,
-                                  RecordingUpdate{&per_worker}, residual,
-                                  report),
+                                  detail::direction_plans(opt.seed, 9),
+                                  sampling, RecordingUpdate{&per_worker},
+                                  residual, report),
                Error);
 }
 

@@ -208,8 +208,8 @@ TEST(ScanModeDirections, MultisetUnchangedByScanMode) {
     std::vector<std::vector<index_t>> per_worker(3);
     SolveOutcome report;
     auto residual = [](int, int) { return 0.0; };
-    detail::run_engine(pool, opt, n, 3, detail::direction_plans(opt, n), {},
-                       RecordingUpdate{&per_worker}, residual, report);
+    detail::run_engine(pool, opt, n, 3, detail::direction_plans(opt.seed, n),
+                       {}, RecordingUpdate{&per_worker}, residual, report);
     std::vector<index_t> all;
     for (const auto& v : per_worker)
       all.insert(all.end(), v.begin(), v.end());

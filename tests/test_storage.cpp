@@ -57,8 +57,7 @@ std::uint64_t fnv1a(const std::vector<double>& x) {
 using test::block_diag_tridiagonal;
 
 const SyncMode kSyncModes[] = {SyncMode::kFreeRunning,
-                               SyncMode::kBarrierPerSweep,
-                               SyncMode::kTimedBarrier};
+                               SyncMode::kBarrierPerSweep};
 
 // ---------------------------------------------------------------------------
 // (a) Golden bit-exactness against the pre-refactor pinned path
@@ -82,7 +81,6 @@ TEST(StorageGolden, SharedScopeSingleWorkerMatchesPreRefactor) {
     opt.seed = 17;
     opt.workers = 1;
     opt.sync = sync;
-    opt.sync_interval_seconds = 0.002;
     std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
     async_rgs_solve(pool, a, b, x, opt);
     EXPECT_EQ(fnv1a(x), kGolden) << "sync mode " << static_cast<int>(sync);
