@@ -87,7 +87,7 @@ TEST(StorageGolden, SharedScopeSingleWorkerMatchesPreRefactor) {
   }
 }
 
-TEST(StorageGolden, OwnedPartitionsMultiWorkerMatchRecordedHashes) {
+TEST(StorageGolden, OwnedPartitionsMultiWorkerMatchRecordedHash) {
   // One partition per block, no steals (tests/owned_blocks.hpp): every
   // interleaving produces the same bits, so one hash covers every team size
   // and both sync modes.  Captured with this recipe while the engine still
@@ -98,7 +98,7 @@ TEST(StorageGolden, OwnedPartitionsMultiWorkerMatchRecordedHashes) {
   const CsrMatrix a = block_diag_tridiagonal(4);
   test::expect_owned_only_cut(a, 4);
   const std::vector<double> b = random_vector(a.rows(), 5);
-  for (SyncMode sync : {SyncMode::kFreeRunning, SyncMode::kBarrierPerSweep}) {
+  for (SyncMode sync : kSyncModes) {
     for (int workers : {1, 2, 4}) {
       SolveControls opt = test::owned_block_controls(4);
       opt.sweeps = 30;
