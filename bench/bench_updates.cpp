@@ -34,7 +34,6 @@ struct Measurement {
                          // "int64_double" | "int32_double" | "int32_mixed"
   std::string sampling;  // direction distribution (v9, sampling_policy and
                          // kaczmarz_row_action rows): "uniform" | "weighted"
-                         // | "residual"
   int workers = 0;
   long long updates = 0;
   double seconds = 0.0;
@@ -60,16 +59,13 @@ struct StoragePoint {
 
 /// One sampling-policy comparison (schema v9): prepared-handle
 /// updates/second under each direction-draw distribution, per workload, at
-/// 1 worker under barrier-per-sweep (the residual policy needs the
-/// rendezvous for its table refresh, so every policy is measured under the
-/// identical sync regime).  The deltas are pure draw-path cost: uniform is
-/// the raw 128-bit-multiply reduction, weighted adds one alias-table lookup
-/// per draw, residual adds the periodic rebuild on top.
+/// 1 worker under barrier-per-sweep.  The delta is pure draw-path cost:
+/// uniform is the raw 128-bit-multiply reduction, weighted adds one
+/// alias-table lookup per draw.
 struct SamplingPoint {
   std::string workload;
   double uniform_ups = 0.0;
   double weighted_ups = 0.0;
-  double residual_ups = 0.0;
 };
 
 /// Cold-vs-prepared solve latency for one solver family (schema v4; the
@@ -397,9 +393,9 @@ int main(int argc, char** argv) {
     // --- sampling-policy sweep (schema v9) -------------------------------
     // Updates/second of the prepared handle under each direction
     // distribution, 1 worker, pinned scan, barrier-per-sweep on both Gram
-    // regimes.  Measures what the non-uniform draw path costs (alias-table
-    // lookup per draw; periodic rebuild for the residual policy) — the
-    // convergence side of the trade is docs/TUNING.md territory.
+    // regimes.  Measures what the weighted draw path costs (one alias-table
+    // lookup per draw) — the convergence side of the trade is
+    // docs/TUNING.md territory.
     {
       SpdProblem handle(pool, a, /*check_input=*/false);
       SamplingPoint point;
@@ -410,8 +406,7 @@ int main(int argc, char** argv) {
       };
       for (const PolicyRun policy :
            {PolicyRun{SamplingPolicy::kUniform, "uniform"},
-            PolicyRun{SamplingPolicy::kWeighted, "weighted"},
-            PolicyRun{SamplingPolicy::kResidual, "residual"}}) {
+            PolicyRun{SamplingPolicy::kWeighted, "weighted"}}) {
         SolveControls sc;
         sc.method = SpdMethod::kAsyncRgs;
         sc.sweeps = n_sweeps;
@@ -441,10 +436,8 @@ int main(int argc, char** argv) {
                        "-"});
         if (policy.policy == SamplingPolicy::kUniform)
           point.uniform_ups = m.updates_per_second;
-        else if (policy.policy == SamplingPolicy::kWeighted)
-          point.weighted_ups = m.updates_per_second;
         else
-          point.residual_ups = m.updates_per_second;
+          point.weighted_ups = m.updates_per_second;
       }
       sampling_points.push_back(std::move(point));
     }
@@ -958,7 +951,7 @@ int main(int argc, char** argv) {
   }
 
   // --- sampling headline ----------------------------------------------------
-  // Draw-path cost of the non-uniform policies on both Gram regimes
+  // Draw-path cost of weighted draws on both Gram regimes
   // (1 worker, pinned, barrier-per-sweep).  Ratios < 1 are pure sampling
   // overhead per update; the convergence payoff is workload-dependent.
   for (const SamplingPoint& p : sampling_points) {
@@ -968,10 +961,6 @@ int main(int argc, char** argv) {
               << " weighted=" << fmt_sci(p.weighted_ups) << " ("
               << fmt_fixed(
                      p.uniform_ups > 0 ? p.weighted_ups / p.uniform_ups : 0.0,
-                     2)
-              << "x) residual=" << fmt_sci(p.residual_ups) << " ("
-              << fmt_fixed(
-                     p.uniform_ups > 0 ? p.residual_ups / p.uniform_ups : 0.0,
                      2)
               << "x)\n";
   }
@@ -1073,7 +1062,7 @@ int main(int argc, char** argv) {
       (*out_path).empty() ? "BENCH_" + *label + ".json" : *out_path;
   std::ofstream json(path);
   json << "{\n"
-       << "  \"schema_version\": 11,\n"
+       << "  \"schema_version\": 12,\n"
        << "  \"bench\": \"bench_updates\",\n"
        << "  \"label\": \"" << json_escape(*label) << "\",\n"
        << "  \"git\": \"" << json_escape(*git_rev) << "\",\n"
@@ -1145,11 +1134,8 @@ int main(int argc, char** argv) {
          << "\", \"mode\": \"barrier_per_sweep\", \"workers\": 1"
          << ", \"uniform_updates_per_second\": " << p.uniform_ups
          << ", \"weighted_updates_per_second\": " << p.weighted_ups
-         << ", \"residual_updates_per_second\": " << p.residual_ups
          << ", \"weighted_ratio\": "
          << (p.uniform_ups > 0.0 ? p.weighted_ups / p.uniform_ups : 0.0)
-         << ", \"residual_ratio\": "
-         << (p.uniform_ups > 0.0 ? p.residual_ups / p.uniform_ups : 0.0)
          << "}" << (i + 1 < sampling_points.size() ? "," : "") << "\n";
   }
   json << "  ],\n"

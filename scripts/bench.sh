@@ -69,10 +69,9 @@ for t in d.get("storage_headline", []):
              t["int32_mixed_updates_per_second"], t["mixed_speedup"]))
 for t in d.get("sampling_headline", []):
     print("bench.sh: sampling (%s, 1 worker, barrier): uniform=%.3g "
-          "weighted=%.3g (%.2fx) residual=%.3g (%.2fx) upd/s"
+          "weighted=%.3g (%.2fx) upd/s"
           % (t["workload"], t["uniform_updates_per_second"],
-             t["weighted_updates_per_second"], t["weighted_ratio"],
-             t["residual_updates_per_second"], t["residual_ratio"]))
+             t["weighted_updates_per_second"], t["weighted_ratio"]))
 z = d.get("kaczmarz_headline")
 if z:
     print("bench.sh: kaczmarz (%dx%d factor, %d nnz, 1 worker): "

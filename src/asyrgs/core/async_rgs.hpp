@@ -100,7 +100,9 @@ enum class SolveStatus {
   /// The requested relative-residual tolerance was reached.
   kConverged,
   /// A tolerance was requested (rel_tol > 0 under a synchronizing mode, or
-  /// a Krylov method) but the iteration budget ran out first.
+  /// a Krylov method) but the iteration budget ran out first, or the
+  /// asynchronous run stopped early on a non-finite residual (divergence;
+  /// relative_residual then holds that value).
   kToleranceNotReached,
   /// The fixed iteration budget ran to completion with no tolerance in
   /// play (free-running asynchronous runs, or rel_tol == 0).
@@ -150,16 +152,11 @@ struct SolveControls {
   int inner_sweeps = 2;
   /// Direction-draw distribution for the asynchronous methods (see
   /// sampling/direction_sampler.hpp).  kUniform is the paper's setting and
-  /// bit-identical to the pre-sampling engine.  Non-uniform policies apply
-  /// to the unpartitioned engine; kResidual additionally requires
-  /// kBarrierPerSweep (its table refreshes at rendezvous) and the
-  /// single-RHS paths.  The Krylov methods reject non-uniform policies —
-  /// they draw no random directions.
+  /// bit-identical to the pre-sampling engine.  kWeighted applies to the
+  /// unpartitioned engine under either sync mode; partitioned scheduling
+  /// and the Krylov methods reject it (the latter draw no random
+  /// directions).
   SamplingPolicy sampling = SamplingPolicy::kUniform;
-  /// kResidual only: rebuild the residual-weighted table every this many
-  /// sweeps (kBarrierPerSweep rendezvous).  Must be >= 1; see
-  /// docs/TUNING.md for sizing.
-  int resample_sweeps = 8;
   /// Topology-aware partitioned scheduling (SpdProblem single-RHS AsyRGS
   /// only).  0 = off (the paper's any-worker-any-coordinate model).  >= 1
   /// reorders the operator by reverse Cuthill-McKee, cuts it into this many

@@ -19,7 +19,7 @@
 //    refill boundaries, so the per-update path contains no modulo and no
 //    branch on sync mode.
 //  * The update functor is a concrete struct templated on atomicity, not a
-//    std::function and not a runtime `atomic_writes` branch.
+//    type-erased callable and not a runtime `atomic_writes` branch.
 //  * Residuals at synchronization points run as a team-wide parallel
 //    reduction over the workers already rendezvoused at the barrier, rather
 //    than serially on worker 0 while the team spins.
@@ -27,8 +27,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <thread>
 #include <type_traits>
@@ -74,19 +74,17 @@ inline constexpr std::size_t kPrefetchDistance = 4;
 /// (and, at P = 1, the exact sequence) matches every real team size.
 ///
 /// An optional DirectionSampler generalizes WHAT each stream position
-/// draws (sampling/direction_sampler.hpp): a null or kUniform sampler
-/// keeps the exact pre-sampling code path (same fill_indices_strided
-/// calls, byte-identical draws); a weighted sampler pulls the raw 64-bit
-/// words at the SAME stream positions and maps each through its alias
-/// table, so the position multiset — and with it the cross-worker-count
-/// invariance — is untouched.
+/// draws (sampling/direction_sampler.hpp): a null sampler keeps the exact
+/// pre-sampling code path (same fill_indices_strided calls, byte-identical
+/// draws); a weighted sampler pulls the raw 64-bit words at the SAME stream
+/// positions and maps each through its alias table, so the position
+/// multiset — and with it the cross-worker-count invariance — is
+/// untouched.
 class DirectionPlan {
  public:
   DirectionPlan(std::uint64_t seed, index_t n, int team,
                 const DirectionSampler* sampler = nullptr)
-      : n_(n), team_(team), shared_(seed),
-        sampler_(sampler != nullptr && sampler->weighted_draws() ? sampler
-                                                                 : nullptr) {
+      : n_(n), team_(team), shared_(seed), sampler_(sampler) {
     ASYRGS_ASSERT(sampler_ == nullptr || sampler_->directions() == n);
   }
 
@@ -510,23 +508,6 @@ class EngineScratch {
   std::atomic<long long> allocations_{0};
 };
 
-/// Sampling configuration of one engine run.  Default-constructed =
-/// uniform draws, no refresh — the pre-sampling engine, byte for byte.
-struct EngineSampling {
-  /// Distribution of the direction draws; null (or kUniform) keeps the
-  /// uniform multiply-reduction path.  Borrowed for the duration of the
-  /// run; weighted draws require a direction count equal to the engine's n.
-  const DirectionSampler* sampler = nullptr;
-  /// Residual-policy table refresh, invoked on worker 0 between the two
-  /// synchronization barriers (the rest of the team is parked at the
-  /// second barrier, so the callback may read the iterate and rebuild the
-  /// sampler's table race-free).  Called once per sweep in
-  /// kBarrierPerSweep, never in kFreeRunning (which has no sync points;
-  /// callers requiring refresh must validate the mode).  The callback owns
-  /// its own cadence (e.g. rebuild every k-th call).
-  std::function<void()> refresh;
-};
-
 /// The synchronization-mode bodies behind run_engine, generic over the
 /// direction schedule: `make_plan(team)` builds it (DirectionPlan or
 /// PartitionedDirectionPlan — any type with the shared
@@ -534,12 +515,10 @@ struct EngineSampling {
 /// size, so the two bodies exist once.  The thread pool may shrink a team
 /// to 1 on nested calls; the engine then builds the matching single-worker
 /// plan lazily instead of paying for a throwaway fallback plan in every
-/// worker.  `refresh` is the EngineSampling rendezvous callback (empty =
-/// none).  Call run_engine, which validates the sampler contract first.
+/// worker.  Call run_engine, which validates the sampler contract first.
 template <typename PlanFactory, typename UpdateFn, typename ResidualFn>
 void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
                           index_t n, int workers, PlanFactory&& make_plan,
-                          const std::function<void()>& refresh,
                           UpdateFn&& update, ResidualFn&& residual,
                           SolveOutcome& out, EngineScratch* scratch) {
   using Plan = std::decay_t<decltype(make_plan(1))>;
@@ -597,7 +576,7 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
   }
 
   // kBarrierPerSweep: each worker runs its share of a sweep, then the team
-  // rendezvouses for the residual check and the sampler refresh.
+  // rendezvouses for the residual check.
   const Plan plan = make_plan(workers);
   SpinBarrier barrier(workers);
   std::atomic<bool> stop{false};
@@ -637,12 +616,12 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
           if (controls.rel_tol > 0.0 && rel <= controls.rel_tol) {
             out.status = SolveStatus::kConverged;
             stop.store(true, std::memory_order_release);
+          } else if (!std::isfinite(rel)) {
+            // Diverged: an infinite or NaN iterate never recovers, so the
+            // rest of the budget would be spent on NaN arithmetic.
+            stop.store(true, std::memory_order_release);
           }
         }
-        // Residual-policy table refresh: the team is parked at the next
-        // barrier, so worker 0 may rebuild the sampler race-free; the
-        // barrier release orders the new table before any later draw.
-        if (refresh && !stop.load(std::memory_order_relaxed)) refresh();
       }
       if (full_team) barrier.arrive_and_wait();
       if (stop.load(std::memory_order_acquire)) break;
@@ -665,12 +644,12 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
 /// tracking or a tolerance.
 ///
 /// `make_plan(team, sampler)` builds the direction schedule for a team size
-/// drawing through `sampling.sampler` — DirectionPlan (see direction_plans)
-/// or PartitionedDirectionPlan.  `sampling` also supplies the rendezvous
-/// refresh.  The engine fills the iteration fields of `out` — iterations,
-/// updates, relative_residual, residual_history — and sets status to
-/// kConverged when the tolerance is met; every other outcome field is the
-/// caller's.
+/// drawing through `sampler` (null: uniform draws) — DirectionPlan (see
+/// direction_plans) or PartitionedDirectionPlan.  The engine fills the
+/// iteration fields of `out` — iterations, updates, relative_residual,
+/// residual_history — and sets status to kConverged when the tolerance is
+/// met.  A synchronizing run stops early, status untouched, at the first
+/// non-finite residual.  Every other outcome field is the caller's.
 ///
 /// `scratch` (optional) supplies reusable per-worker direction buffers; a
 /// prepared handle passes its own so repeated solves skip the allocations,
@@ -678,20 +657,17 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
 template <typename PlanFactory, typename UpdateFn, typename ResidualFn>
 void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
                 int workers, PlanFactory&& make_plan,
-                const EngineSampling& sampling, UpdateFn&& update,
+                const DirectionSampler* sampler, UpdateFn&& update,
                 ResidualFn&& residual, SolveOutcome& out,
                 EngineScratch* scratch = nullptr) {
-  if (sampling.sampler != nullptr && sampling.sampler->weighted_draws())
-    require(sampling.sampler->directions() == n,
+  if (sampler != nullptr)
+    require(sampler->directions() == n,
             "run_engine: sampler direction count must match the engine");
-  require(!sampling.refresh || controls.sync != SyncMode::kFreeRunning,
-          "run_engine: sampler refresh needs synchronization points; "
-          "kFreeRunning has none");
   run_engine_with_plan(
       pool, controls, n, workers,
-      [&](int team) { return make_plan(team, sampling.sampler); },
-      sampling.refresh, std::forward<UpdateFn>(update),
-      std::forward<ResidualFn>(residual), out, scratch);
+      [&](int team) { return make_plan(team, sampler); },
+      std::forward<UpdateFn>(update), std::forward<ResidualFn>(residual),
+      out, scratch);
 }
 
 /// Plan factory of every unpartitioned run: the DirectionPlan over `seed`,

@@ -274,10 +274,10 @@ class SingleRhsResidual {
 
 /// ||B - A X||_F / ||B||_F, team-parallel over rows.
 template <class Index = index_t, class Value = double>
-class BlockResidual {
+class BlockRhsResidual {
  public:
-  BlockResidual(const CsrMatrixT<Index, Value>& a, const MultiVector& b,
-                const MultiVector& x, int workers, TeamReduce& reduce)
+  BlockRhsResidual(const CsrMatrixT<Index, Value>& a, const MultiVector& b,
+                   const MultiVector& x, int workers, TeamReduce& reduce)
       : a_(a),
         b_(b),
         x_(x),

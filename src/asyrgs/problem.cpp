@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <type_traits>
 #include <utility>
@@ -72,13 +71,10 @@ namespace {
 /// Every per-call precondition of a solve, checked once at the entry point
 /// with one message per violation (`who` names it).  `engine` says the
 /// method runs the asynchronous engine; the Krylov methods read none of the
-/// engine knobs and draw no random directions.  The block path passes
-/// residual_ok = false: its residual metric is a Frobenius norm over all
-/// columns, which has no per-direction weight to refresh.  Paths that cannot
-/// serve partitioned scheduling at all reject partitions != 0 themselves,
-/// with a pointer to the supported path.
-void validate_controls(const SolveControls& c, const char* who, bool engine,
-                       bool residual_ok = true) {
+/// engine knobs and draw no random directions.  Paths that cannot serve
+/// partitioned scheduling at all reject partitions != 0 themselves, with a
+/// pointer to the supported path.
+void validate_controls(const SolveControls& c, const char* who, bool engine) {
   auto fail = [&](const char* what) {
     throw Error(std::string(who) + ": " + what);
   };
@@ -92,7 +88,7 @@ void validate_controls(const SolveControls& c, const char* who, bool engine,
       fail("steal_rate must be in [0, 1)");
     if (c.sampling != SamplingPolicy::kUniform)
       fail("partitioned scheduling draws uniformly within partitions; "
-           "non-uniform sampling policies apply to the unpartitioned engine");
+           "weighted sampling applies to the unpartitioned engine");
   }
   if (!engine) {
     if (c.sampling != SamplingPolicy::kUniform)
@@ -104,69 +100,6 @@ void validate_controls(const SolveControls& c, const char* who, bool engine,
   if (!(c.step_size > 0.0 && c.step_size < 2.0))
     fail("step size must be in (0, 2)");
   if (c.rel_tol < 0.0) fail("rel_tol must be non-negative");
-  if (c.sampling != SamplingPolicy::kResidual) return;
-  if (!residual_ok)
-    fail("residual-weighted sampling is single-right-hand-side only");
-  if (c.sync == SyncMode::kFreeRunning)
-    fail("residual-weighted sampling refreshes its table at "
-         "synchronization points; use barrier-per-sweep mode");
-  if (c.resample_sweeps < 1) fail("resample_sweeps must be at least 1");
-}
-
-std::string sampling_note(const SolveControls& controls) {
-  switch (controls.sampling) {
-    case SamplingPolicy::kUniform:
-      return "";
-    case SamplingPolicy::kWeighted:
-      return ", weighted sampling";
-    case SamplingPolicy::kResidual:
-      return ", residual sampling (refresh every " +
-             std::to_string(std::max(1, controls.resample_sweeps)) +
-             " rendezvous)";
-  }
-  return "";
-}
-
-/// w_i = (b_i - A_i x)^2 with plain reads of x — legal only before the
-/// engine starts or inside a refresh callback (team parked at the barrier).
-template <class Matrix>
-void row_residual_weights(const Matrix& a, const std::vector<double>& b,
-                          const double* x, std::vector<double>& w) {
-  w.resize(b.size());
-  for (index_t i = 0; i < a.rows(); ++i) {
-    double ri = b[static_cast<std::size_t>(i)];
-    const auto cols = a.row_cols(i);
-    const auto vals = a.row_vals(i);
-    for (std::size_t s = 0; s < cols.size(); ++s) ri -= vals[s] * x[cols[s]];
-    w[static_cast<std::size_t>(i)] = ri * ri;
-  }
-}
-
-/// w_j = (A^T (b - A x))_j^2 — squared gradient magnitudes of the
-/// least-squares objective (the natural per-column residual weight for
-/// coordinate descent).  Same read contract as row_residual_weights;
-/// `r` is reusable scratch of a.rows() doubles.
-template <class Matrix>
-void col_residual_weights(const Matrix& a, const Matrix& at,
-                          const std::vector<double>& b, const double* x,
-                          std::vector<double>& r, std::vector<double>& w) {
-  r.resize(b.size());
-  for (index_t i = 0; i < a.rows(); ++i) {
-    double ri = b[static_cast<std::size_t>(i)];
-    const auto cols = a.row_cols(i);
-    const auto vals = a.row_vals(i);
-    for (std::size_t s = 0; s < cols.size(); ++s) ri -= vals[s] * x[cols[s]];
-    r[static_cast<std::size_t>(i)] = ri;
-  }
-  w.resize(static_cast<std::size_t>(at.rows()));
-  for (index_t j = 0; j < at.rows(); ++j) {
-    const auto rows = at.row_cols(j);
-    const auto vals = at.row_vals(j);
-    double g = 0.0;
-    for (std::size_t s = 0; s < rows.size(); ++s)
-      g += vals[s] * r[rows[s]];
-    w[static_cast<std::size_t>(j)] = g * g;
-  }
 }
 
 const char* sync_name(SyncMode sync) {
@@ -211,27 +144,23 @@ struct PipelineEnv {
   ProblemStats& stats;
 };
 
-/// Where a path's non-uniform direction weights come from.  Both callables
-/// run at setup or at a rendezvous refresh, never per update.  A template
-/// rather than std::function members so a uniform solve makes no heap
+/// Where a path's kWeighted direction weights come from.  A template
+/// rather than a std::function member so a uniform solve makes no heap
 /// allocation: one left alive during a run measurably slowed 4-worker
 /// barrier solves, by moving the engine's heap-allocated team closure,
 /// which every worker reads on every update.
-template <class Fixed, class Residual>
+template <class Fixed>
 struct WeightSource {
   /// The handle's lazily built kWeighted sampler, filled from `fixed()` on
   /// the first weighted solve and reused by every later one.  Null for
   /// paths that draw uniformly only.
   std::optional<DirectionSampler>* cache;
   Fixed fixed;
-  /// residual(w): kResidual weights from the current iterate, with plain
-  /// reads (see row_residual_weights for when that is legal).
-  Residual residual;
 };
 
-/// Stand-in for a weight callable a path never calls: validation rejects
-/// the sampling policy that would need it before the pipeline runs.
-constexpr auto kNoWeights = [](auto&...) { return std::vector<double>(); };
+/// Stand-in for the weight callable of a uniform-only path: validation
+/// rejects kWeighted there before the pipeline runs.
+constexpr auto kNoWeights = [] { return std::vector<double>(); };
 
 /// What a path reports that the pipeline cannot derive itself.
 struct PathFacts {
@@ -252,7 +181,9 @@ std::string describe(const PathFacts& path, const SolveControls& controls,
   std::string d = std::string(path.name) + ", " + std::to_string(workers) +
                   " threads, ";
   if (path.rhs > 0) d += std::to_string(path.rhs) + " rhs, ";
-  d += sync_name(controls.sync) + sampling_note(controls);
+  d += sync_name(controls.sync);
+  if (controls.sampling == SamplingPolicy::kWeighted)
+    d += ", weighted sampling";
   if (path.partitions > 0) {
     std::string steal = std::to_string(path.steal_rate);
     // Trim to the informative digits (to_string pads to 6 decimals).
@@ -279,20 +210,18 @@ constexpr StoragePolicy storage_of(const Matrix&) {
 /// update functor) and its plan factory.  The pipeline owns the rest: the
 /// team size, sampler setup, timing, status mapping, description and
 /// outcome fields.  The controls were validated at the entry point.
-template <class Fixed, class Residual, class MakeResidual, class Launch,
-          class MakePlan>
+template <class Fixed, class MakeResidual, class Launch, class MakePlan>
 SolveOutcome run_pipeline(const PipelineEnv& env,
                           const SolveControls& controls,
                           const PathFacts& path,
-                          const WeightSource<Fixed, Residual>& weights,
+                          const WeightSource<Fixed>& weights,
                           MakeResidual&& make_residual, Launch&& launch,
                           MakePlan&& make_plan) {
   const index_t n = path.directions;
   const int workers = clamp_workers(controls.workers, env.pool);
   auto residual = make_residual(workers);
 
-  detail::EngineSampling sampling;
-  std::optional<DirectionSampler> residual_sampler;
+  const DirectionSampler* sampler = nullptr;
   if (controls.sampling == SamplingPolicy::kWeighted) {
     std::optional<DirectionSampler>& cached = *weights.cache;
     if (!cached) {
@@ -302,22 +231,7 @@ SolveOutcome run_pipeline(const PipelineEnv& env,
       cached.emplace(DirectionSampler::weighted(w.data(), n));
       ++env.stats.sampler_builds;
     }
-    sampling.sampler = &*cached;
-  } else if (controls.sampling == SamplingPolicy::kResidual) {
-    // Seed the table from the caller's initial iterate (deterministic
-    // input, so fixed-seed runs keep the multiset contract until the
-    // first refresh), then rebuild every resample_sweeps rendezvous.
-    std::vector<double> w;
-    weights.residual(w);
-    residual_sampler.emplace(DirectionSampler::residual(w.data(), n));
-    sampling.sampler = &*residual_sampler;
-    sampling.refresh = [&weights, sampler = &*residual_sampler,
-                        period = controls.resample_sweeps, w = std::move(w),
-                        calls = 0]() mutable {
-      if (++calls % period != 0) return;
-      weights.residual(w);
-      sampler->rebuild(w.data(), static_cast<index_t>(w.size()));
-    };
+    sampler = &*cached;
   }
 
   SolveOutcome out;
@@ -333,13 +247,11 @@ SolveOutcome run_pipeline(const PipelineEnv& env,
         launch.template operator()<kAtomic, kScan>(
             workers, [&](const auto& update) {
               detail::run_engine(env.pool, controls, n, workers, make_plan,
-                                 sampling, update, residual, out,
+                                 sampler, update, residual, out,
                                  &env.scratch.engine);
             });
       });
   out.seconds = timer.seconds();
-  if (residual_sampler)
-    env.stats.sampler_builds += residual_sampler->rebuilds();
 
   out.workers = workers;
   out.scan_requested = controls.scan;
@@ -541,10 +453,7 @@ SolveOutcome SpdProblem::solve_async(const std::vector<double>& b,
              .storage = storage_of(a),
              .scan = controls.scan},
             WeightSource{&weighted_sampler_,
-                         [this] { return detail::row_sq_norms(a_); },
-                         [&](std::vector<double>& w) {
-                           row_residual_weights(a, b, x.data(), w);
-                         }},
+                         [this] { return detail::row_sq_norms(a_); }},
             [&](int workers) {
               return detail::SingleRhsResidual(
                   a, b, x.data(), workers, scratch_->engine.reduce(workers));
@@ -593,7 +502,7 @@ SolveOutcome SpdProblem::solve_partitioned(const std::vector<double>& b,
              .scan = controls.scan,
              .partitions = cut->count(),
              .steal_rate = controls.steal_rate},
-            WeightSource{nullptr, kNoWeights, kNoWeights},
+            WeightSource{nullptr, kNoWeights},
             // The residual norm is permutation-invariant, so evaluating it
             // on the permuted system reports exactly the metric the
             // unpartitioned path would.
@@ -675,8 +584,7 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
               controls.method == SpdMethod::kAsyncRgs,
           "SpdProblem::solve(block): only the asynchronous method supports "
           "block right-hand sides");
-  validate_controls(controls, "SpdProblem::solve(block)", /*engine=*/true,
-                    /*residual_ok=*/false);
+  validate_controls(controls, "SpdProblem::solve(block)", /*engine=*/true);
   require(controls.partitions == 0,
           "SpdProblem::solve(block): partitioned scheduling is "
           "single-right-hand-side only");
@@ -744,11 +652,10 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
                            "column-parallel scan"
                          : ""},
             WeightSource{&weighted_sampler_,
-                         [this] { return detail::row_sq_norms(a_); },
-                         kNoWeights},
+                         [this] { return detail::row_sq_norms(a_); }},
             [&](int workers) {
-              return detail::BlockResidual(a, b, x, workers,
-                                           scratch_->engine.reduce(workers));
+              return detail::BlockRhsResidual(
+                  a, b, x, workers, scratch_->engine.reduce(workers));
             },
             launch, detail::direction_plans(controls.seed, a.rows()));
       },
@@ -887,9 +794,6 @@ SolveOutcome LsqProblem::solve(const std::vector<double>& b,
               WeightSource{&weighted_rows_,
                            [this]() -> const std::vector<double>& {
                              return row_sq_;
-                           },
-                           [&](std::vector<double>& w) {
-                             row_residual_weights(a, b, x.data(), w);
                            }},
               residual,
               [&]<bool kAtomic, ScanMode kScan>(int, auto&& run) {
@@ -899,9 +803,7 @@ SolveOutcome LsqProblem::solve(const std::vector<double>& b,
               },
               detail::direction_plans(controls.seed, a.rows()));
         }
-        // Coordinate descent: directions are the columns of A; `rbuf` is
-        // the residual-weight scratch of a.rows() doubles.
-        std::vector<double> rbuf;
+        // Coordinate descent: directions are the columns of A.
         return run_pipeline(
             env, controls,
             {.name = "AsyRCD least squares",
@@ -911,9 +813,6 @@ SolveOutcome LsqProblem::solve(const std::vector<double>& b,
             WeightSource{&weighted_cols_,
                          [this]() -> const std::vector<double>& {
                            return col_sq_;
-                         },
-                         [&](std::vector<double>& w) {
-                           col_residual_weights(a, at, b, x.data(), rbuf, w);
                          }},
             residual,
             [&]<bool kAtomic, ScanMode kScan>(int, auto&& run) {

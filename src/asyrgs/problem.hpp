@@ -127,9 +127,9 @@ struct ProblemStats {
   /// Explicit narrow-storage requests that overflowed the index width and
   /// fell back to full storage (0 or 1 per handle; clones inherit it).
   int storage_fallbacks = 0;
-  /// Alias-table build passes paid so far: 1 per lazily cached static
-  /// weighted sampler (amortized across solves), plus every residual-policy
-  /// build/refresh.  Repeat kWeighted solves must not increase this.
+  /// Alias-table build passes paid so far: 1 per lazily cached kWeighted
+  /// sampler, built on the first weighted solve and reused by every later
+  /// one.  Repeat kWeighted solves must not increase this.
   long long sampler_builds = 0;
   /// RCM partition analyses performed (0 or 1 per handle: built on the
   /// first partitioned solve or prepare_partitions() call and cached;

@@ -62,8 +62,8 @@ using VirtualEngineOptions = SimOptions;
 /// `sampler` (sampling/direction_sampler.hpp) maps the Philox stream through
 /// the same alias table the threaded engine uses, so weighted virtual runs
 /// replay the production draw path; it must outlive the call and have
-/// directions() == a.rows().  nullptr (or a uniform sampler) keeps the raw
-/// stream bit-identical to every pre-sampling trace.
+/// directions() == a.rows().  nullptr keeps the raw stream bit-identical
+/// to every pre-sampling trace.
 SimResult run_virtual_consistent(const CsrMatrix& a,
                                  const std::vector<double>& b,
                                  const std::vector<double>& x0,

@@ -1,9 +1,8 @@
 // Sampling subsystem tests (sampling/direction_sampler.hpp + the engine's
 // sampler contract): alias-table build determinism (golden hashes),
-// probability exactness, the raw-bits strided fill, uniform-policy
-// bit-identity with the pre-sampling draw path, and the load-bearing
+// probability exactness, the raw-bits strided fill, and the load-bearing
 // engine invariant — the direction multiset of a fixed (seed, policy) run
-// is identical at 1, 2, and 4 workers for every sampling policy.
+// is identical at 1, 2, and 4 workers for uniform and weighted draws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -113,21 +112,13 @@ TEST(PhiloxFill, FillAtStridedMatchesAtForAllParities) {
 
 // --- DirectionSampler --------------------------------------------------------
 
-TEST(DirectionSampler, UniformPolicyReportsNoWeightedDraws) {
-  const DirectionSampler s = DirectionSampler::uniform(10);
-  EXPECT_EQ(s.policy(), SamplingPolicy::kUniform);
-  EXPECT_EQ(s.directions(), 10);
-  EXPECT_FALSE(s.weighted_draws());
-}
-
 TEST(DirectionSampler, MapInPlaceEqualsScalarMap) {
   std::vector<double> w(17);
   for (std::size_t i = 0; i < w.size(); ++i)
     w[i] = static_cast<double>(i % 5) + 0.5;
   const DirectionSampler s =
       DirectionSampler::weighted(w.data(), static_cast<index_t>(w.size()));
-  EXPECT_TRUE(s.weighted_draws());
-  EXPECT_EQ(s.rebuilds(), 1);
+  EXPECT_EQ(s.directions(), 17);
 
   const Philox4x32 gen(99);
   std::vector<std::uint64_t> bits(301);
@@ -143,41 +134,7 @@ TEST(DirectionSampler, MapInPlaceEqualsScalarMap) {
     ASSERT_EQ(batched[i], s.map(bits[i])) << "i=" << i;
 }
 
-TEST(DirectionSampler, RebuildCountsAndChangesTheTable) {
-  std::vector<double> w = {1.0, 1.0, 1.0, 1.0};
-  DirectionSampler s = DirectionSampler::residual(w.data(), 4);
-  EXPECT_EQ(s.policy(), SamplingPolicy::kResidual);
-  EXPECT_EQ(s.rebuilds(), 1);
-  const std::uint64_t before = s.table().fnv1a();
-  w = {0.0, 0.0, 10.0, 0.0};
-  s.rebuild(w.data(), 4);
-  EXPECT_EQ(s.rebuilds(), 2);
-  EXPECT_NE(s.table().fnv1a(), before);
-  // Concentrated weights: every draw maps to index 2.
-  const Philox4x32 gen(3);
-  for (int i = 0; i < 100; ++i)
-    ASSERT_EQ(s.map(gen.at(static_cast<std::uint64_t>(i))), 2);
-}
-
 // --- DirectionPlan with a sampler -------------------------------------------
-
-TEST(DirectionPlan, UniformSamplerIsBitIdenticalToNoSampler) {
-  const std::uint64_t seed = 17;
-  const index_t n = 53;
-  const DirectionSampler uniform = DirectionSampler::uniform(n);
-  for (int team : {1, 2, 4}) {
-    const detail::DirectionPlan bare(seed, n, team);
-    const detail::DirectionPlan sampled(seed, n, team, &uniform);
-    for (int w = 0; w < team; ++w) {
-      std::vector<index_t> a(400), b(400);
-      bare.fill(w, 0, a.size(), a.data());
-      sampled.fill(w, 0, b.size(), b.data());
-      ASSERT_EQ(a, b) << "team=" << team << " w=" << w;
-      for (std::size_t i = 0; i < 64; ++i)
-        ASSERT_EQ(bare.pick(w, i), sampled.pick(w, i));
-    }
-  }
-}
 
 TEST(DirectionPlan, WeightedFillMatchesPickAndMapsTheSharedStream) {
   const std::uint64_t seed = 29;
@@ -217,7 +174,7 @@ struct RecordingUpdate {
 std::vector<index_t> engine_multiset(ThreadPool& pool,
                                      const SolveControls& base, index_t n,
                                      int workers,
-                                     const detail::EngineSampling& sampling) {
+                                     const DirectionSampler* sampler) {
   SolveControls opt = base;
   opt.workers = workers;
   std::vector<std::vector<index_t>> per_worker(
@@ -225,7 +182,7 @@ std::vector<index_t> engine_multiset(ThreadPool& pool,
   SolveOutcome report;
   auto residual = [](int, int) { return 0.0; };
   detail::run_engine(pool, opt, n, workers,
-                     detail::direction_plans(opt.seed, n), sampling,
+                     detail::direction_plans(opt.seed, n), sampler,
                      RecordingUpdate{&per_worker}, residual, report);
   std::vector<index_t> all;
   for (const auto& v : per_worker) all.insert(all.end(), v.begin(), v.end());
@@ -244,71 +201,17 @@ TEST(SampledEngine, MultisetInvariantAcrossWorkerCountsPerPolicy) {
   std::vector<double> w(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i)
     w[static_cast<std::size_t>(i)] = 0.25 + static_cast<double>((i * 13) % 9);
-  const DirectionSampler uniform = DirectionSampler::uniform(n);
   const DirectionSampler weighted = DirectionSampler::weighted(w.data(), n);
 
-  for (const DirectionSampler* s : {static_cast<const DirectionSampler*>(
-                                        nullptr),
-                                    &uniform, &weighted}) {
-    detail::EngineSampling sampling;
-    sampling.sampler = s;
-    const std::vector<index_t> expected =
-        engine_multiset(pool, base, n, 1, sampling);
+  for (const DirectionSampler* s :
+       {static_cast<const DirectionSampler*>(nullptr), &weighted}) {
+    const std::vector<index_t> expected = engine_multiset(pool, base, n, 1, s);
     for (int workers : {2, 4}) {
-      EXPECT_EQ(engine_multiset(pool, base, n, workers, sampling), expected)
-          << "policy="
-          << (s ? to_string(s->policy()) : "null") << " workers=" << workers;
+      EXPECT_EQ(engine_multiset(pool, base, n, workers, s), expected)
+          << "policy=" << (s ? "weighted" : "uniform")
+          << " workers=" << workers;
     }
   }
-}
-
-TEST(SampledEngine, ResidualRefreshIsDeterministicAndWorkerCountInvariant) {
-  // A refresh whose inputs do not depend on the iterate (here: weights
-  // keyed by the rendezvous counter) must keep the multiset invariant
-  // across worker counts — refreshes happen at the same global stream
-  // boundaries (sweep ends) for every team size.
-  ThreadPool pool(4);
-  const index_t n = 37;
-  SolveControls base;
-  base.seed = 91;
-  base.sweeps = 24;
-  base.sync = SyncMode::kBarrierPerSweep;
-
-  const auto make = [n](DirectionSampler& sampler,
-                        detail::EngineSampling& sampling, int period) {
-    sampling.sampler = &sampler;
-    sampling.refresh = [&sampler, n, period, calls = 0]() mutable {
-      if (++calls % period != 0) return;
-      std::vector<double> w(static_cast<std::size_t>(n));
-      for (index_t i = 0; i < n; ++i)
-        w[static_cast<std::size_t>(i)] =
-            1.0 + static_cast<double>((i + calls) % 5);
-      sampler.rebuild(w.data(), n);
-    };
-  };
-
-  std::vector<double> w0(static_cast<std::size_t>(n), 1.0);
-  DirectionSampler s1 = DirectionSampler::residual(w0.data(), n);
-  detail::EngineSampling sampling1;
-  make(s1, sampling1, 4);
-  const std::vector<index_t> expected =
-      engine_multiset(pool, base, n, 1, sampling1);
-  EXPECT_GT(s1.rebuilds(), 1);  // the refresh hook actually fired
-
-  for (int workers : {2, 4}) {
-    DirectionSampler s = DirectionSampler::residual(w0.data(), n);
-    detail::EngineSampling sampling;
-    make(s, sampling, 4);
-    EXPECT_EQ(engine_multiset(pool, base, n, workers, sampling), expected)
-        << "workers=" << workers;
-  }
-
-  // And the whole construction is reproducible: a fresh identical run
-  // yields the identical multiset.
-  DirectionSampler s2 = DirectionSampler::residual(w0.data(), n);
-  detail::EngineSampling sampling2;
-  make(s2, sampling2, 4);
-  EXPECT_EQ(engine_multiset(pool, base, n, 1, sampling2), expected);
 }
 
 TEST(SampledEngine, WeightedDrawsFollowTheTable) {
@@ -318,49 +221,21 @@ TEST(SampledEngine, WeightedDrawsFollowTheTable) {
   std::vector<double> w(static_cast<std::size_t>(n), 0.0);
   w[7] = 1.0;
   const DirectionSampler sampler = DirectionSampler::weighted(w.data(), n);
-  detail::EngineSampling sampling;
-  sampling.sampler = &sampler;
   SolveControls opt;
   opt.seed = 3;
   opt.sweeps = 5;
   opt.sync = SyncMode::kBarrierPerSweep;
   const std::vector<index_t> all =
-      engine_multiset(pool, opt, n, 2, sampling);
+      engine_multiset(pool, opt, n, 2, &sampler);
   EXPECT_EQ(all.size(),
             static_cast<std::size_t>(n) * static_cast<std::size_t>(5));
   for (index_t r : all) ASSERT_EQ(r, 7);
-}
-
-TEST(SampledEngine, RejectsRefreshUnderFreeRunning) {
-  // Residual refresh needs the rendezvous barriers' happens-before edge;
-  // the engine refuses the combination outright.
-  ThreadPool pool(2);
-  const index_t n = 11;
-  std::vector<double> w(static_cast<std::size_t>(n), 1.0);
-  DirectionSampler sampler = DirectionSampler::residual(w.data(), n);
-  detail::EngineSampling sampling;
-  sampling.sampler = &sampler;
-  sampling.refresh = [] {};
-  SolveControls opt;
-  opt.seed = 1;
-  opt.sweeps = 2;
-  opt.sync = SyncMode::kFreeRunning;
-  std::vector<std::vector<index_t>> per_worker(1);
-  SolveOutcome report;
-  auto residual = [](int, int) { return 0.0; };
-  EXPECT_THROW(detail::run_engine(pool, opt, n, 1,
-                                  detail::direction_plans(opt.seed, n),
-                                  sampling, RecordingUpdate{&per_worker},
-                                  residual, report),
-               Error);
 }
 
 TEST(SampledEngine, RejectsSamplerSizeMismatch) {
   ThreadPool pool(2);
   std::vector<double> w(8, 1.0);
   const DirectionSampler sampler = DirectionSampler::weighted(w.data(), 8);
-  detail::EngineSampling sampling;
-  sampling.sampler = &sampler;
   SolveControls opt;
   opt.seed = 1;
   opt.sweeps = 2;
@@ -370,7 +245,7 @@ TEST(SampledEngine, RejectsSamplerSizeMismatch) {
   auto residual = [](int, int) { return 0.0; };
   EXPECT_THROW(detail::run_engine(pool, opt, /*n=*/9, 1,
                                   detail::direction_plans(opt.seed, 9),
-                                  sampling, RecordingUpdate{&per_worker},
+                                  &sampler, RecordingUpdate{&per_worker},
                                   residual, report),
                Error);
 }

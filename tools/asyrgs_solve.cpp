@@ -4,7 +4,7 @@
 //                [--method auto|asyrgs|fcg|cg|kaczmarz] [--tol 1e-8]
 //                [--threads 0] [--scan pinned|reassociated] [--repeat 1]
 //                [--shards 1] [--storage auto|int64|int32|mixed]
-//                [--sampling uniform|weighted|residual] [--resample 8]
+//                [--sampling uniform|weighted]
 //                [--partitions 0] [--steal 0.0]
 //
 // Reads an SPD matrix (coordinate format, general or symmetric), prepares an
@@ -64,11 +64,7 @@ int main(int argc, char** argv) {
   auto sampling = cli.add_string(
       "sampling", "uniform",
       "direction-draw distribution for the asynchronous methods: uniform | "
-      "weighted (norm-weighted alias table) | residual (refreshed at sync "
-      "points; see docs/TUNING.md)");
-  auto resample = cli.add_int(
-      "resample", 8,
-      "residual sampling: rebuild the table every N rendezvous");
+      "weighted (norm-weighted alias table; see docs/TUNING.md)");
   auto partitions = cli.add_int(
       "partitions", 0,
       "topology-aware partitioned scheduling: cut the RCM-ordered operator "
@@ -85,23 +81,6 @@ int main(int argc, char** argv) {
     require(*repeat >= 1, "--repeat must be >= 1");
     require(*shards >= 1, "--shards must be >= 1");
     require(*tol > 0.0, "--tol must be positive");
-
-    const CsrMatrix a = read_matrix_market_file(*matrix_path);
-    std::cerr << "matrix: " << a.rows() << " x " << a.cols() << ", "
-              << a.nnz() << " nonzeros\n";
-
-    std::vector<double> b;
-    if (!rhs_path.value().empty()) {
-      std::ifstream in(*rhs_path);
-      require(in.good(), "cannot open --rhs file");
-      b = read_vector_market(in);
-    } else {
-      // A * ones needs cols() entries; rows() == cols() for the SPD paths,
-      // but --method kaczmarz also accepts rectangular matrices.
-      const std::vector<double> ones(static_cast<std::size_t>(a.cols()), 1.0);
-      b = rhs_from_solution(a, ones);
-      std::cerr << "rhs: A * ones (self-checking mode)\n";
-    }
 
     SolveControls controls;
     controls.rel_tol = *tol;
@@ -144,14 +123,30 @@ int main(int argc, char** argv) {
       controls.sampling = SamplingPolicy::kUniform;
     else if (*sampling == "weighted")
       controls.sampling = SamplingPolicy::kWeighted;
-    else if (*sampling == "residual")
-      controls.sampling = SamplingPolicy::kResidual;
     else
-      throw Error("unknown --sampling (want uniform|weighted|residual)");
-    controls.resample_sweeps = static_cast<int>(*resample);
+      throw Error("unknown --sampling (want uniform|weighted)");
     controls.partitions = static_cast<int>(*partitions);
     controls.steal_rate = *steal;
     const bool kaczmarz = controls.method == SpdMethod::kAsyncKaczmarz;
+
+    // Every flag above is checked before the matrix is read, so a bad
+    // option fails fast even on a large input.
+    const CsrMatrix a = read_matrix_market_file(*matrix_path);
+    std::cerr << "matrix: " << a.rows() << " x " << a.cols() << ", "
+              << a.nnz() << " nonzeros\n";
+
+    std::vector<double> b;
+    if (!rhs_path.value().empty()) {
+      std::ifstream in(*rhs_path);
+      require(in.good(), "cannot open --rhs file");
+      b = read_vector_market(in);
+    } else {
+      // A * ones needs cols() entries; rows() == cols() for the SPD paths,
+      // but --method kaczmarz also accepts rectangular matrices.
+      const std::vector<double> ones(static_cast<std::size_t>(a.cols()), 1.0);
+      b = rhs_from_solution(a, ones);
+      std::cerr << "rhs: A * ones (self-checking mode)\n";
+    }
 
     std::vector<double> x;
     SolveOutcome outcome;
