@@ -1,7 +1,7 @@
-// Updates/second of the asynchronous update engine, pinned vs reassociated
-// scan mode, plus the residual-check cost at synchronization points and the
-// per-layer points (storage, sampling, Kaczmarz, block, prepare
-// amortization, serving, locality) tracked since.
+// Updates/second of the asynchronous update engine, plus the residual-check
+// cost at synchronization points and the per-layer points (storage,
+// sampling, Kaczmarz, block, prepare amortization, serving, locality)
+// tracked since.
 //
 // This driver anchors the repo's measured performance trajectory: it emits a
 // machine-readable BENCH_<label>.json (schema documented in docs/TUNING.md)
@@ -29,9 +29,9 @@ struct Measurement {
                          // "prepare_amortization" | "serving_throughput" |
                          // "storage_policy" | "block_small_k" |
                          // "sampling_policy" | "kaczmarz_row_action"
-  std::string scan;      // "pinned" | "reassociated"
+  std::string scan;      // "pinned" | "reassociated" (block_small_k only)
   std::string storage;   // CSR policy the row's kernels ran against (v7):
-                         // "int64_double" | "int32_double" | "int32_mixed"
+                         // "int64_double" | "int32_double"
   std::string sampling;  // direction distribution (v9, sampling_policy and
                          // kaczmarz_row_action rows): "uniform" | "weighted"
   int workers = 0;
@@ -48,13 +48,11 @@ struct Measurement {
 };
 
 /// One storage-policy comparison (schema v7): prepared-handle updates/second
-/// under each CSR storage policy, per workload and scan mode, at 1 worker.
+/// under each CSR storage policy, per workload, at 1 worker.
 struct StoragePoint {
   std::string workload;
-  std::string scan;
   double int64_ups = 0.0;
   double int32_ups = 0.0;
-  double mixed_ups = 0.0;
 };
 
 /// One sampling-policy comparison (schema v9): prepared-handle
@@ -209,9 +207,6 @@ int main(int argc, char** argv) {
   if (std::find(worker_sweep.begin(), worker_sweep.end(),
                 static_cast<int>(*headline)) == worker_sweep.end())
     worker_sweep.push_back(static_cast<int>(*headline));
-  if (std::find(worker_sweep.begin(), worker_sweep.end(), 1) ==
-      worker_sweep.end())
-    worker_sweep.push_back(1);  // scan_headline is measured at 1 worker
   int max_workers = 1;
   for (int w : worker_sweep) max_workers = std::max(max_workers, w);
   ThreadPool pool(max_workers);
@@ -268,19 +263,16 @@ int main(int argc, char** argv) {
       opt.workers = workers;
 
       // --- free-running updates/second ----------------------------------
-      // Two rows per worker count: the default pinned scan and the opt-in
-      // reassociated scan, so every BENCH json reports both side by side.
-      for (const ScanMode scan : {ScanMode::kPinned, ScanMode::kReassociated}) {
+      {
         SolveControls run_opt = opt;
         run_opt.sync = SyncMode::kFreeRunning;
-        run_opt.scan = scan;
         const double secs = time_run([&](std::vector<double>& x) {
           return async_rgs_solve(pool, a, b, x, run_opt).seconds;
         });
         Measurement m;
         m.workload = spec.name;
         m.mode = "free_running";
-        m.scan = scan == ScanMode::kReassociated ? "reassociated" : "pinned";
+        m.scan = "pinned";
         m.storage = auto_storage;
         m.workers = workers;
         m.updates = static_cast<long long>(n_sweeps) * n;
@@ -329,64 +321,42 @@ int main(int argc, char** argv) {
     }
 
     // --- storage-policy sweep (schema v7) --------------------------------
-    // Updates/second of the prepared handle under each CSR storage policy,
-    // both scan modes, at 1 worker (isolating the kernel's memory stream
-    // from scheduling noise).  int32 halves the index bytes of every row
-    // scan; mixed additionally halves the value bytes (accumulation stays
-    // double) — docs/TUNING.md explains when each wins.
+    // Updates/second of the prepared handle under each CSR storage policy
+    // at 1 worker (isolating the kernel's memory stream from scheduling
+    // noise).  int32 halves the index bytes of every row scan —
+    // docs/TUNING.md explains when it wins.
     {
-      struct PolicyRun {
-        StorageMode mode;
-        const char* name;
-      };
-      for (const PolicyRun policy :
-           {PolicyRun{StorageMode::kInt64Double, "int64_double"},
-            PolicyRun{StorageMode::kInt32Double, "int32_double"},
-            PolicyRun{StorageMode::kInt32Mixed, "int32_mixed"}}) {
-        SpdProblem handle(pool, a, /*check_input=*/false, policy.mode);
-        for (const ScanMode scan :
-             {ScanMode::kPinned, ScanMode::kReassociated}) {
-          SolveControls sc;
-          sc.method = SpdMethod::kAsyncRgs;
-          sc.sweeps = n_sweeps;
-          sc.workers = 1;
-          sc.seed = 1;
-          sc.scan = scan;
-          const double secs = time_run([&](std::vector<double>& x) {
-            return handle.solve(b, x, sc).seconds;
-          });
-          Measurement m;
-          m.workload = spec.name;
-          m.mode = "storage_policy";
-          m.scan = scan == ScanMode::kReassociated ? "reassociated" : "pinned";
-          m.storage = policy.name;
-          m.workers = 1;
-          m.updates = static_cast<long long>(n_sweeps) * n;
-          m.seconds = secs;
-          m.updates_per_second = static_cast<double>(m.updates) / secs;
-          results.push_back(m);
-          table.add_row({spec.name, "1",
-                         std::string("storage/") + policy.name, m.scan,
-                         fmt_sci(m.updates_per_second),
-                         fmt_fixed(1e9 * secs / static_cast<double>(m.updates),
-                                   1),
-                         "-"});
-          auto point = std::find_if(
-              storage_points.begin(), storage_points.end(),
-              [&](const StoragePoint& p) {
-                return p.workload == spec.name && p.scan == m.scan;
-              });
-          if (point == storage_points.end()) {
-            storage_points.push_back(StoragePoint{spec.name, m.scan});
-            point = storage_points.end() - 1;
-          }
-          if (policy.mode == StorageMode::kInt64Double)
-            point->int64_ups = m.updates_per_second;
-          else if (policy.mode == StorageMode::kInt32Double)
-            point->int32_ups = m.updates_per_second;
-          else
-            point->mixed_ups = m.updates_per_second;
-        }
+      StoragePoint& point = storage_points.emplace_back();
+      point.workload = spec.name;
+      for (const StorageMode mode :
+           {StorageMode::kInt64Double, StorageMode::kInt32Double}) {
+        SpdProblem handle(pool, a, /*check_input=*/false, mode);
+        SolveControls sc;
+        sc.method = SpdMethod::kAsyncRgs;
+        sc.sweeps = n_sweeps;
+        sc.workers = 1;
+        sc.seed = 1;
+        const double secs = time_run([&](std::vector<double>& x) {
+          return handle.solve(b, x, sc).seconds;
+        });
+        Measurement m;
+        m.workload = spec.name;
+        m.mode = "storage_policy";
+        m.scan = "pinned";
+        m.storage = to_string(mode);
+        m.workers = 1;
+        m.updates = static_cast<long long>(n_sweeps) * n;
+        m.seconds = secs;
+        m.updates_per_second = static_cast<double>(m.updates) / secs;
+        results.push_back(m);
+        table.add_row({spec.name, "1", "storage/" + m.storage, m.scan,
+                       fmt_sci(m.updates_per_second),
+                       fmt_fixed(1e9 * secs / static_cast<double>(m.updates),
+                                 1),
+                       "-"});
+        (mode == StorageMode::kInt64Double ? point.int64_ups
+                                           : point.int32_ups) =
+            m.updates_per_second;
       }
     }
 
@@ -909,43 +879,15 @@ int main(int argc, char** argv) {
 
   const std::string headline_workload = workloads.front().name;
 
-  // --- scan-mode headline -------------------------------------------------
-  // Pinned vs reassociated at 1 worker, in the scan-bound regime where the
-  // row scan's FP association is the binding constraint (falls back to the
-  // headline workload under --skip-scan-workload).  One worker isolates the
-  // kernel change from scheduling noise on oversubscribed hosts.
-  const std::string scan_workload =
-      workloads.back().name;  // gram_scan_bound unless skipped
-  double scan_pinned_ups = 0.0, scan_reassoc_ups = 0.0;
-  for (const Measurement& m : results) {
-    if (m.workload != scan_workload || m.mode != "free_running" ||
-        m.workers != 1)
-      continue;
-    (m.scan == "reassociated" ? scan_reassoc_ups : scan_pinned_ups) =
-        m.updates_per_second;
-  }
-  const double scan_speedup =
-      scan_pinned_ups > 0.0 ? scan_reassoc_ups / scan_pinned_ups : 0.0;
-  std::cout << "# scan headline (" << scan_workload
-            << ", free-running, 1 worker): pinned="
-            << fmt_sci(scan_pinned_ups)
-            << " reassociated=" << fmt_sci(scan_reassoc_ups)
-            << " speedup=" << fmt_fixed(scan_speedup, 2) << "x\n";
-
   // --- storage headline ----------------------------------------------------
-  // Per-policy prepared-handle throughput on both Gram regimes (reassociated
-  // scan shown; the pinned rows are in results[]).  int32 speedup is pure
-  // index-bandwidth; mixed adds the value-bandwidth halving.
+  // Per-policy prepared-handle throughput on both Gram regimes; the int32
+  // speedup is pure index bandwidth.
   for (const StoragePoint& p : storage_points) {
-    if (p.scan != "reassociated") continue;
     std::cout << "# storage headline (" << p.workload
-              << ", free-running, 1 worker, " << p.scan
-              << " scan): int64_double=" << fmt_sci(p.int64_ups)
-              << " int32_double=" << fmt_sci(p.int32_ups) << " ("
+              << ", free-running, 1 worker): int64_double="
+              << fmt_sci(p.int64_ups) << " int32_double=" << fmt_sci(p.int32_ups)
+              << " ("
               << fmt_fixed(p.int64_ups > 0 ? p.int32_ups / p.int64_ups : 0.0,
-                           2)
-              << "x) int32_mixed=" << fmt_sci(p.mixed_ups) << " ("
-              << fmt_fixed(p.int64_ups > 0 ? p.mixed_ups / p.int64_ups : 0.0,
                            2)
               << "x)\n";
   }
@@ -1062,7 +1004,7 @@ int main(int argc, char** argv) {
       (*out_path).empty() ? "BENCH_" + *label + ".json" : *out_path;
   std::ofstream json(path);
   json << "{\n"
-       << "  \"schema_version\": 12,\n"
+       << "  \"schema_version\": 13,\n"
        << "  \"bench\": \"bench_updates\",\n"
        << "  \"label\": \"" << json_escape(*label) << "\",\n"
        << "  \"git\": \"" << json_escape(*git_rev) << "\",\n"
@@ -1107,23 +1049,15 @@ int main(int argc, char** argv) {
     json << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
-       << "  \"scan_headline\": {\"workload\": \"" << scan_workload
-       << "\", \"mode\": \"free_running\", \"workers\": 1"
-       << ", \"pinned_updates_per_second\": " << scan_pinned_ups
-       << ", \"reassociated_updates_per_second\": " << scan_reassoc_ups
-       << ", \"speedup\": " << scan_speedup << "},\n"
        << "  \"storage_headline\": [\n";
   for (std::size_t i = 0; i < storage_points.size(); ++i) {
     const StoragePoint& p = storage_points[i];
-    json << "    {\"workload\": \"" << p.workload << "\", \"scan\": \""
-         << p.scan << "\", \"workers\": 1"
+    json << "    {\"workload\": \"" << p.workload
+         << "\", \"scan\": \"pinned\", \"workers\": 1"
          << ", \"int64_double_updates_per_second\": " << p.int64_ups
          << ", \"int32_double_updates_per_second\": " << p.int32_ups
-         << ", \"int32_mixed_updates_per_second\": " << p.mixed_ups
          << ", \"int32_speedup\": "
-         << (p.int64_ups > 0.0 ? p.int32_ups / p.int64_ups : 0.0)
-         << ", \"mixed_speedup\": "
-         << (p.int64_ups > 0.0 ? p.mixed_ups / p.int64_ups : 0.0) << "}"
+         << (p.int64_ups > 0.0 ? p.int32_ups / p.int64_ups : 0.0) << "}"
          << (i + 1 < storage_points.size() ? "," : "") << "\n";
   }
   json << "  ],\n"

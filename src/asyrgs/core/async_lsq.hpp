@@ -41,10 +41,8 @@ RgsReport rcd_lsq_solve(const CsrMatrix& a, const std::vector<double>& b,
 /// descent); `step_size` must be < 1 for the Theorem 5 guarantee.
 /// Directions are columns (the least-squares coordinates), drawn from one
 /// Philox stream by every worker; partitioned scheduling does not apply.
-/// `scan` selects the FP association of the inner row scans (ScanMode; the
-/// kernel's dominant FP cost).  Thread-safety matches async_rgs_solve:
-/// matrices and b are read-only, `x` is written concurrently until the call
-/// returns.
+/// Thread-safety matches async_rgs_solve: matrices and b are read-only, `x`
+/// is written concurrently until the call returns.
 SolveOutcome async_lsq_solve(ThreadPool& pool, const CsrMatrix& a,
                              const CsrMatrix& at, const std::vector<double>& b,
                              std::vector<double>& x,

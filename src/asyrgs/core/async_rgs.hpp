@@ -54,7 +54,7 @@ enum class SyncMode {
 };
 
 /// Floating-point association of the CSR row scan inside each coordinate
-/// update (the dominant FP chain of the scan-bound regime).
+/// update.
 enum class ScanMode {
   /// One serial subtraction per nonzero, in column order — the association
   /// every solver in this library shares, which makes equal-seed runs
@@ -62,19 +62,16 @@ enum class ScanMode {
   /// reference.  This is the default and the path the determinism suite
   /// gates.
   kPinned,
-  /// "Fast math" opt-in: the row scan runs over multiple independent
-  /// accumulators (SIMD gather/FMA lanes where available — see
-  /// sparse/csr.hpp), reducing at the end.  Same mathematical sum, a
-  /// different rounding order that varies with the host's vector width, so
-  /// cross-worker-count (and cross-machine) bit equality is forfeited.  The
-  /// convergence guarantees are unaffected: the paper's theorems (and the
-  /// AsyRK analysis) assume only bounded staleness of the values read,
-  /// never a fixed reduction order.  The direction multiset is identical in
-  /// both modes — scan mode never touches direction planning.  Currently
-  /// accelerates the single-RHS and least-squares kernels; the block kernel
-  /// is column-parallel already and runs the pinned scan in either mode.
-  /// Worthwhile on scan-bound (medium/long-row) matrices only — short-row
-  /// matrices see a modest slowdown (docs/TUNING.md has the numbers).
+  /// Opt-in for block solves of at most 4 right-hand sides: the block
+  /// kernel keeps the whole gamma state in registers with two accumulator
+  /// sets per column, reducing at the end — a different rounding order, so
+  /// bit equality with the pinned run is forfeited.  The convergence
+  /// guarantees are unaffected: the paper's theorems (and the AsyRK
+  /// analysis) assume only bounded staleness of the values read, never a
+  /// fixed reduction order.  Every other path (single right-hand side,
+  /// least squares, Kaczmarz, the Krylov methods, wider blocks) runs the
+  /// pinned scan and reports it through SolveOutcome::scan_executed and a
+  /// note in the description (docs/TUNING.md has the numbers).
   kReassociated,
 };
 
@@ -139,7 +136,8 @@ struct SolveControls {
   bool atomic_writes = true; ///< false = racy "non atomic" variant
   SyncMode sync = SyncMode::kFreeRunning;
   /// Row-scan FP association; kPinned preserves bit reproducibility, while
-  /// kReassociated trades it for multi-accumulator/SIMD scan throughput.
+  /// kReassociated trades it for block-solve throughput at k <= 4 (every
+  /// other path runs pinned; see ScanMode).
   ScanMode scan = ScanMode::kPinned;
   /// With kBarrierPerSweep: record the relative residual at each
   /// synchronization (SolveOutcome::residual_history).
@@ -187,10 +185,9 @@ struct SolveOutcome {
   double relative_residual = 0.0;  ///< when a tolerance/history was active
   double seconds = 0.0;      ///< iteration-loop wall time
   ScanMode scan_requested = ScanMode::kPinned;
-  /// Association the kernels actually ran; differs from scan_requested only
-  /// for the block solver at more than four right-hand sides, whose
-  /// column-parallel inner loops run the pinned scan (k <= 4 dispatches the
-  /// reassociated register-resident kernel; see docs/TUNING.md).
+  /// Association the kernels actually ran; kReassociated only for block
+  /// solves of at most four right-hand sides that requested it (the
+  /// register-resident kernel; see docs/TUNING.md), kPinned otherwise.
   ScanMode scan_executed = ScanMode::kPinned;
   /// CSR storage policy the kernels actually ran against — the handle's
   /// resolved policy for the asynchronous methods, kInt64Double for the

@@ -330,27 +330,6 @@ class PartitionedDirectionPlan {
   std::vector<std::vector<index_t>> cum_;
 };
 
-/// Maps the runtime (atomic_writes, scan) pair onto the compile-time kernel
-/// grid: invokes fn.operator()<kAtomicWrites, kScan>() for the matching
-/// specialization, so the 2x2 dispatch ladder lives in one place.  `scan` is
-/// the association the kernels execute (SolveOutcome::scan_executed), which
-/// the block path may downgrade from the requested SolveControls::scan.
-template <typename Fn>
-void dispatch_atomic_scan(bool atomic_writes, ScanMode scan, Fn&& fn) {
-  const bool reassoc = scan == ScanMode::kReassociated;
-  if (atomic_writes) {
-    if (reassoc)
-      fn.template operator()<true, ScanMode::kReassociated>();
-    else
-      fn.template operator()<true, ScanMode::kPinned>();
-  } else {
-    if (reassoc)
-      fn.template operator()<false, ScanMode::kReassociated>();
-    else
-      fn.template operator()<false, ScanMode::kPinned>();
-  }
-}
-
 /// Whether a team-parallel residual reduction is expected to beat the serial
 /// path for `workers` participants on a host with `hardware_threads`
 /// schedulable threads.  On oversubscribed hosts (hardware_threads <

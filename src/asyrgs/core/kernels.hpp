@@ -9,10 +9,9 @@
 //
 // Every functor is templated over the CSR storage policy (Index, Value) with
 // full-width defaults, so the prepared handles can run the identical update
-// logic against CsrMatrix, CsrMatrix32, or CsrMatrixMixed; accumulation is
-// double for every policy (a Value promotes at the multiply).  Call sites
-// deduce the policy from the matrix argument (CTAD for the residual classes,
-// explicit arguments for the aggregate update functors).
+// logic against CsrMatrix or CsrMatrix32.  Call sites deduce the policy from
+// the matrix argument (CTAD for the residual classes, explicit arguments for
+// the aggregate update functors).
 //
 // Residual functors borrow their TeamReduce (barrier + partial slots) from
 // the caller instead of owning one, so a prepared handle can keep the
@@ -50,17 +49,12 @@ inline void pack_rhs_diag(const std::vector<double>& b,
 }
 
 /// One asynchronous coordinate update on the shared single-RHS iterate,
-/// specialized at compile time on the atomicity mode AND the scan mode so
-/// the hot loop carries no per-update branch and the pinned path compiles to
-/// exactly the pre-ScanMode code.  Pinned: relaxed-atomic reads of x, one
-/// subtraction per nonzero in column order — identical arithmetic to the
-/// sequential solver, so a one-worker run reproduces it bit for bit (and,
-/// because values stay double, identically across the int64/int32 index
-/// policies).  Reassociated: the multi-accumulator/SIMD kernel from
-/// sparse/csr.hpp with plain vector reads of x (see the contract there); the
-/// write path is unchanged.
-template <bool kAtomicWrites, ScanMode kScan, class Index = index_t,
-          class Value = double>
+/// specialized at compile time on the atomicity mode so the hot loop carries
+/// no per-update branch.  The row scan reads x with relaxed-atomic loads and
+/// subtracts one product per nonzero in column order — identical arithmetic
+/// to the sequential solver, so a one-worker run reproduces it bit for bit
+/// (and identically across the int64/int32 index policies).
+template <bool kAtomicWrites, class Index = index_t, class Value = double>
 struct SingleRhsUpdate {
   const nnz_t* row_ptr;
   const Index* cols;
@@ -85,12 +79,8 @@ struct SingleRhsUpdate {
     double acc = bd[r].b;
     const nnz_t lo = rp[r];
     const nnz_t hi = rp[r + 1];
-    if constexpr (kScan == ScanMode::kReassociated) {
-      acc = csr_row_sub_dot_reassoc(acc, ci + lo, av + lo, hi - lo, x);
-    } else {
-      for (nnz_t t = lo; t < hi; ++t)
-        acc -= av[t] * atomic_load_relaxed(x[ci[t]]);
-    }
+    for (nnz_t t = lo; t < hi; ++t)
+      acc -= av[t] * atomic_load_relaxed(x[ci[t]]);
     return beta * (acc * bd[r].inv_diag);
   }
 
@@ -162,11 +152,11 @@ struct BlockRhsUpdate {
 /// The generic BlockRhsUpdate reads X with relaxed-atomic loads and walks
 /// one gamma chain per column; at small K the whole gamma state fits in
 /// registers, so this kernel keeps two accumulator sets per column and
-/// unrolls the nonzero loop by two — the same pipelining trade as the
-/// single-RHS multi-accumulator scan, which is why it carries the
-/// ScanMode::kReassociated contract: plain vector reads of the shared
-/// iterate (naturally aligned 8-byte loads cannot tear; see sparse/csr.hpp)
-/// and a K-independent, unspecified reduction order.  Dispatched by
+/// unrolls the nonzero loop by two to pipeline the FP adder, which is why it
+/// carries the ScanMode::kReassociated contract: plain vector reads of the
+/// shared iterate (a naturally aligned 8-byte load cannot tear, so each read
+/// observes some previously stored value — all the convergence model needs)
+/// and an unspecified reduction order.  Dispatched by
 /// SpdProblem::solve(block) when the caller requests the reassociated scan
 /// and k <= 4; larger blocks keep the pinned kernel (gamma no longer fits,
 /// and the column loop already pipelines).
@@ -237,7 +227,10 @@ class SingleRhsResidual {
         serial_(!team_residual_profitable(workers)),
         b_norm_(nrm2(b)) {}
 
-  double operator()(int id, int team) {
+  /// Out of line on purpose: it runs once per sweep, and inlined into the
+  /// engine's worker body it made 4-worker barrier solves 3-4% slower
+  /// (asyrgs_solve, 8000-row Gram, 4-core host) by reshaping the hot loop.
+  [[gnu::noinline]] double operator()(int id, int team) {
     const auto partial = [&](int w, int t) {
       const auto [lo, hi] = chunk_of(a_.rows(), w, t);
       double acc = 0.0;
@@ -327,13 +320,9 @@ class BlockRhsResidual {
 };
 
 /// One asynchronous column update (iteration (21)): the residual entries for
-/// the column's rows are recomputed from shared x on every step.  Specialized
-/// at compile time on the atomicity mode and on the scan mode — the inner
-/// r_i = b_i - A_i x row scans are this kernel's dominant FP cost, so
-/// ScanMode::kReassociated routes them through the multi-accumulator/SIMD
-/// kernel (plain vector reads of the shared iterate; see sparse/csr.hpp).
-template <bool kAtomicWrites, ScanMode kScan, class Index = index_t,
-          class Value = double>
+/// the column's rows are recomputed from shared x (relaxed-atomic reads) on
+/// every step.  Specialized at compile time on the atomicity mode.
+template <bool kAtomicWrites, class Index = index_t, class Value = double>
 struct LsqUpdate {
   const CsrMatrixT<Index, Value>* a;
   const CsrMatrixT<Index, Value>* at;
@@ -350,21 +339,11 @@ struct LsqUpdate {
     double gamma = 0.0;
     for (std::size_t s = 0; s < rows.size(); ++s) {
       const index_t i = rows[s];
-      // r_i = b_i - A_i x; pinned mode reads the shared iterate with
-      // relaxed-atomic loads, reassociated mode with vector gathers.
-      double ri;
-      if constexpr (kScan == ScanMode::kReassociated) {
-        const auto arow_cols = a->row_cols(i);
-        const auto arow_vals = a->row_vals(i);
-        ri = csr_row_sub_dot_reassoc(b[i], arow_cols.data(), arow_vals.data(),
-                                     static_cast<nnz_t>(arow_cols.size()), x);
-      } else {
-        ri = b[i];
-        const auto arow_cols = a->row_cols(i);
-        const auto arow_vals = a->row_vals(i);
-        for (std::size_t q = 0; q < arow_cols.size(); ++q)
-          ri -= arow_vals[q] * atomic_load_relaxed(x[arow_cols[q]]);
-      }
+      double ri = b[i];  // r_i = b_i - A_i x
+      const auto arow_cols = a->row_cols(i);
+      const auto arow_vals = a->row_vals(i);
+      for (std::size_t q = 0; q < arow_cols.size(); ++q)
+        ri -= arow_vals[q] * atomic_load_relaxed(x[arow_cols[q]]);
       gamma += col_vals[s] * ri;
     }
     const double delta = beta * gamma / col_sq[j];
@@ -378,17 +357,15 @@ struct LsqUpdate {
 /// One asynchronous row-action (Kaczmarz) update on the shared iterate:
 /// project x onto the hyperplane A_i x = b_i, relaxed by beta —
 ///   gamma = beta * (b_i - A_i x) / ||A_i||^2;  x += gamma * A_i^T.
-/// The row scan is the same compute seam as SingleRhsUpdate (pinned:
-/// relaxed-atomic reads of x, one subtraction per nonzero in column order;
-/// reassociated: the multi-accumulator/SIMD kernel with plain vector
-/// reads), but the apply half scatters into every column the row touches
-/// rather than one diagonal entry — which is why the asynchronous analysis
-/// of Liu, Wright & Sridhar (arXiv:1401.4780) covers it: each update
-/// writes a sparse multiple of one row.  `inv_row_sq` holds 1/||A_i||^2
+/// The row scan is the same compute seam as SingleRhsUpdate (relaxed-atomic
+/// reads of x, one subtraction per nonzero in column order), but the apply
+/// half scatters into every column the row touches rather than one diagonal
+/// entry — which is why the asynchronous analysis of Liu, Wright & Sridhar
+/// (arXiv:1401.4780) covers it: each update writes a sparse multiple of one
+/// row.  `inv_row_sq` holds 1/||A_i||^2
 /// precomputed at prepare time (zero rows get 0, making their update a
 /// no-op rather than a NaN).
-template <bool kAtomicWrites, ScanMode kScan, class Index = index_t,
-          class Value = double>
+template <bool kAtomicWrites, class Index = index_t, class Value = double>
 struct KaczmarzUpdate {
   const nnz_t* row_ptr;
   const Index* cols;
@@ -407,12 +384,8 @@ struct KaczmarzUpdate {
     double acc = b[r];
     const nnz_t lo = rp[r];
     const nnz_t hi = rp[r + 1];
-    if constexpr (kScan == ScanMode::kReassociated) {
-      acc = csr_row_sub_dot_reassoc(acc, ci + lo, av + lo, hi - lo, x);
-    } else {
-      for (nnz_t t = lo; t < hi; ++t)
-        acc -= av[t] * atomic_load_relaxed(x[ci[t]]);
-    }
+    for (nnz_t t = lo; t < hi; ++t)
+      acc -= av[t] * atomic_load_relaxed(x[ci[t]]);
     return beta * (acc * inv_row_sq[r]);
   }
 
@@ -523,8 +496,7 @@ class LsqResidual {
   double denom_ = 0.0;
 };
 
-/// Squared Euclidean norms of the columns of A, read off the rows of A^T
-/// (double accumulation for every storage policy).
+/// Squared Euclidean norms of the columns of A, read off the rows of A^T.
 template <class Index, class Value>
 inline std::vector<double> column_sq_norms(const CsrMatrixT<Index, Value>& at) {
   std::vector<double> sq(static_cast<std::size_t>(at.rows()), 0.0);

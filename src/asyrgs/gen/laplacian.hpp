@@ -24,10 +24,9 @@ namespace asyrgs {
 
 /// Policy-aware variants: assemble directly at the target (Index, Value)
 /// width — no full-width intermediate (the builder's constructor is the
-/// index-width guard).  Stencil values are small integers, exact in float,
-/// so every policy generates identical matrices up to storage width.
-/// (Definitions in laplacian.cpp, instantiated for the three supported
-/// policies.)
+/// index-width guard), so every policy generates identical matrices up to
+/// index width.  (Definitions in laplacian.cpp, instantiated for the two
+/// supported policies.)
 template <class Index, class Value>
 [[nodiscard]] CsrMatrixT<Index, Value> laplacian_1d_as(index_t n);
 template <class Index, class Value>

@@ -26,9 +26,6 @@ StoredMatrix::StoredMatrix(const CsrMatrix& a, StoragePolicy policy)
   if (policy == StoragePolicy::kInt32Double)
     a32 = std::make_shared<const CsrMatrix32>(
         convert_storage<std::int32_t, double>(a));
-  else if (policy == StoragePolicy::kInt32Mixed)
-    amixed = std::make_shared<const CsrMatrixMixed>(
-        convert_storage<std::int32_t, float>(a));
 }
 
 /// Per-handle reusable solver scratch: the packed (b, 1/diag) pairs refilled
@@ -78,6 +75,8 @@ void validate_controls(const SolveControls& c, const char* who, bool engine) {
   auto fail = [&](const char* what) {
     throw Error(std::string(who) + ": " + what);
   };
+  // Negated so NaN fails too; every method reads the tolerance.
+  if (!(c.rel_tol >= 0.0)) fail("rel_tol must be non-negative");
   if (c.workers < 0) fail("workers must be non-negative (0 = pool capacity)");
   if (c.partitions < 0) fail("partitions must be non-negative");
   if (c.partitions == 0) {
@@ -99,7 +98,6 @@ void validate_controls(const SolveControls& c, const char* who, bool engine) {
   if (c.sweeps < 0) fail("sweeps must be non-negative");
   if (!(c.step_size > 0.0 && c.step_size < 2.0))
     fail("step size must be in (0, 2)");
-  if (c.rel_tol < 0.0) fail("rel_tol must be non-negative");
 }
 
 const char* sync_name(SyncMode sync) {
@@ -129,8 +127,6 @@ SolveOutcome with_storage(StoragePolicy policy, Fn&& fn,
   switch (policy) {
     case StoragePolicy::kInt32Double:
       return fn(*operands.a32...);
-    case StoragePolicy::kInt32Mixed:
-      return fn(*operands.amixed...);
     case StoragePolicy::kInt64Double:
       break;
   }
@@ -167,12 +163,19 @@ struct PathFacts {
   const char* name;       ///< description head, e.g. "AsyRGS block"
   index_t directions;     ///< engine n: rows, columns, or permuted rows
   StoragePolicy storage;  ///< policy of the matrix the kernels read
-  ScanMode scan;          ///< association the kernels execute
+  /// Association the kernels execute: only block solves with k <= 4 run
+  /// the reassociated scan; every other path runs pinned.
+  ScanMode scan = ScanMode::kPinned;
   int rhs = 0;            ///< block width (0: single right-hand side)
-  const char* note = "";  ///< description tail after the sampling note
   int partitions = 0;     ///< partitions used (0: unpartitioned)
   double steal_rate = 0.0;
 };
+
+/// Description tail of a run that was asked for the reassociated scan but
+/// ran the pinned one.
+constexpr const char* kPinnedScanNote =
+    "; reassociated scan requested, pinned scan run (only blocks of at most "
+    "4 right-hand sides reassociate)";
 
 /// The description of a finished run, e.g. "AsyRGS block, 4 threads, 8
 /// rhs, barrier per sweep; ..., int32_double storage".
@@ -192,7 +195,7 @@ std::string describe(const PathFacts& path, const SolveControls& controls,
     d += ", " + std::to_string(path.partitions) + " partitions (RCM, steal " +
          steal + ")";
   }
-  d += path.note;
+  if (controls.scan != path.scan) d += kPinnedScanNote;
   if (path.storage != StoragePolicy::kInt64Double)
     d += std::string(", ") + to_string(path.storage) + " storage";
   return d;
@@ -206,8 +209,8 @@ constexpr StoragePolicy storage_of(const Matrix&) {
 /// The one asynchronous solve pipeline behind every handle path.  A caller
 /// supplies what differs between paths: its facts, its weight source, its
 /// residual functor (`make_residual(workers)`), its kernel launcher
-/// (`launch.operator()<kAtomic, kScan>(workers, run)` hands `run` the
-/// update functor) and its plan factory.  The pipeline owns the rest: the
+/// (`launch.operator()<kAtomic>(workers, run)` hands `run` the update
+/// functor) and its plan factory.  The pipeline owns the rest: the
 /// team size, sampler setup, timing, status mapping, description and
 /// outcome fields.  The controls were validated at the entry point.
 template <class Fixed, class MakeResidual, class Launch, class MakePlan>
@@ -242,15 +245,14 @@ SolveOutcome run_pipeline(const PipelineEnv& env,
                    ? SolveStatus::kToleranceNotReached
                    : SolveStatus::kBudgetCompleted;
   WallTimer timer;
-  detail::dispatch_atomic_scan(
-      controls.atomic_writes, path.scan, [&]<bool kAtomic, ScanMode kScan>() {
-        launch.template operator()<kAtomic, kScan>(
-            workers, [&](const auto& update) {
-              detail::run_engine(env.pool, controls, n, workers, make_plan,
-                                 sampler, update, residual, out,
-                                 &env.scratch.engine);
-            });
-      });
+  const auto run = [&](const auto& update) {
+    detail::run_engine(env.pool, controls, n, workers, make_plan, sampler,
+                       update, residual, out, &env.scratch.engine);
+  };
+  if (controls.atomic_writes)
+    launch.template operator()<true>(workers, run);
+  else
+    launch.template operator()<false>(workers, run);
   out.seconds = timer.seconds();
 
   out.workers = workers;
@@ -270,9 +272,8 @@ SolveOutcome run_pipeline(const PipelineEnv& env,
 template <class Matrix>
 auto single_rhs_launcher(const Matrix& a, const detail::RhsDiagPair* rhs_diag,
                          double* x, double beta) {
-  return [&a, rhs_diag, x, beta]<bool kAtomic, ScanMode kScan>(int,
-                                                               auto&& run) {
-    run(detail::SingleRhsUpdate<kAtomic, kScan, typename Matrix::index_type,
+  return [&a, rhs_diag, x, beta]<bool kAtomic>(int, auto&& run) {
+    run(detail::SingleRhsUpdate<kAtomic, typename Matrix::index_type,
                                 typename Matrix::value_type>{
         a.row_ptr().data(), a.col_idx().data(), a.values().data(), rhs_diag,
         x, beta});
@@ -289,8 +290,6 @@ const char* to_string(StorageMode mode) noexcept {
       return "int64_double";
     case StorageMode::kInt32Double:
       return "int32_double";
-    case StorageMode::kInt32Mixed:
-      return "int32_mixed";
   }
   return "?";
 }
@@ -307,15 +306,12 @@ StoragePolicy resolve_storage_policy(StorageMode mode, index_t max_index,
     case StorageMode::kInt64Double:
       return StoragePolicy::kInt64Double;
     case StorageMode::kAuto:
-      // Narrowing is free of arithmetic consequences for the double-value
-      // policies (pinned-scan results stay bit-identical), so auto always
-      // takes the bandwidth win when the shape allows it.
+      // Narrowing the indices is free of arithmetic consequences
+      // (pinned-scan results stay bit-identical), so auto always takes the
+      // bandwidth win when the shape allows it.
       return fits ? StoragePolicy::kInt32Double : StoragePolicy::kInt64Double;
     case StorageMode::kInt32Double:
       if (fits) return StoragePolicy::kInt32Double;
-      break;
-    case StorageMode::kInt32Mixed:
-      if (fits) return StoragePolicy::kInt32Mixed;
       break;
   }
   // Explicit narrow request on a shape the index width cannot address:
@@ -450,8 +446,7 @@ SolveOutcome SpdProblem::solve_async(const std::vector<double>& b,
             PipelineEnv{pool_, *scratch_, stats_}, controls,
             {.name = "AsyRGS",
              .directions = a.rows(),
-             .storage = storage_of(a),
-             .scan = controls.scan},
+             .storage = storage_of(a)},
             WeightSource{&weighted_sampler_,
                          [this] { return detail::row_sq_norms(a_); }},
             [&](int workers) {
@@ -499,7 +494,6 @@ SolveOutcome SpdProblem::solve_partitioned(const std::vector<double>& b,
             {.name = "AsyRGS",
              .directions = a.rows(),
              .storage = storage_of(a),
-             .scan = controls.scan,
              .partitions = cut->count(),
              .steal_rate = controls.steal_rate},
             WeightSource{nullptr, kNoWeights},
@@ -542,7 +536,7 @@ SolveOutcome SpdProblem::solve_krylov(const std::vector<double>& b,
     // iteration's inner sweeps reuse the cached reciprocals and scratch.
     AsyRgsPreconditioner precond(*this, controls.inner_sweeps, workers,
                                  /*step_size=*/1.0, controls.seed,
-                                 controls.atomic_writes, controls.scan);
+                                 controls.atomic_writes);
     FcgOptions fo;
     fo.base.max_iterations = max_iterations;
     fo.base.rel_tol = rel_tol;
@@ -553,7 +547,6 @@ SolveOutcome SpdProblem::solve_krylov(const std::vector<double>& b,
     out.iterations = rep.base.iterations;
     out.relative_residual = rep.base.final_relative_residual;
     out.residual_history = rep.base.residual_history;
-    out.scan_executed = controls.scan;  // the preconditioner's inner scans
     out.description = "flexible CG + " + precond.name();
   } else {
     SolveOptions so;
@@ -567,9 +560,9 @@ SolveOutcome SpdProblem::solve_krylov(const std::vector<double>& b,
     out.iterations = rep.iterations;
     out.relative_residual = rep.final_relative_residual;
     out.residual_history = rep.residual_history;
-    out.scan_executed = ScanMode::kPinned;  // CG has no row-scan mode
     out.description = "conjugate gradients";
   }
+  if (controls.scan != ScanMode::kPinned) out.description += kPinnedScanNote;
   out.seconds = timer.seconds();
   return out;
 }
@@ -592,8 +585,8 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
   const double beta = controls.step_size;
   // At k <= 4 the whole gamma state fits in registers, so the reassociated
   // request is honoured by the small-K kernel; wider blocks keep the pinned
-  // column-parallel kernel (and the downgrade stays surfaced).
-  const bool downgraded = controls.scan == ScanMode::kReassociated && k > 4;
+  // column-parallel kernel (and the pipeline surfaces the downgrade).
+  const ScanMode scan = k <= 4 ? controls.scan : ScanMode::kPinned;
 
   SolveOutcome out = with_storage(
       storage_,
@@ -601,9 +594,8 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
         using Matrix = std::decay_t<decltype(a)>;
         using Index = typename Matrix::index_type;
         using Value = typename Matrix::value_type;
-        auto launch = [&]<bool kAtomic, ScanMode kScan>(int workers,
-                                                        auto&& run) {
-          if constexpr (kScan == ScanMode::kReassociated) {
+        auto launch = [&]<bool kAtomic>(int workers, auto&& run) {
+          if (scan == ScanMode::kReassociated) {
             switch (k) {
               case 1:
                 run(detail::BlockRhsUpdateSmallK<kAtomic, 1, Index, Value>{
@@ -644,13 +636,8 @@ SolveOutcome SpdProblem::solve(const MultiVector& b, MultiVector& x,
             {.name = "AsyRGS block",
              .directions = a.rows(),
              .storage = storage_of(a),
-             .scan = downgraded ? ScanMode::kPinned : controls.scan,
-             .rhs = static_cast<int>(k),
-             .note = downgraded
-                         ? "; reassociated scan requested but blocks wider "
-                           "than 4 right-hand sides run the pinned "
-                           "column-parallel scan"
-                         : ""},
+             .scan = scan,
+             .rhs = static_cast<int>(k)},
             WeightSource{&weighted_sampler_,
                          [this] { return detail::row_sq_norms(a_); }},
             [&](int workers) {
@@ -789,15 +776,14 @@ SolveOutcome LsqProblem::solve(const std::vector<double>& b,
               env, controls,
               {.name = "AsyKaczmarz least squares",
                .directions = a.rows(),
-               .storage = storage_of(a),
-               .scan = controls.scan},
+               .storage = storage_of(a)},
               WeightSource{&weighted_rows_,
                            [this]() -> const std::vector<double>& {
                              return row_sq_;
                            }},
               residual,
-              [&]<bool kAtomic, ScanMode kScan>(int, auto&& run) {
-                run(detail::KaczmarzUpdate<kAtomic, kScan, Index, Value>{
+              [&]<bool kAtomic>(int, auto&& run) {
+                run(detail::KaczmarzUpdate<kAtomic, Index, Value>{
                     a.row_ptr().data(), a.col_idx().data(), a.values().data(),
                     b.data(), inv_row_sq_.data(), x.data(), beta});
               },
@@ -808,15 +794,14 @@ SolveOutcome LsqProblem::solve(const std::vector<double>& b,
             env, controls,
             {.name = "AsyRCD least squares",
              .directions = a.cols(),
-             .storage = storage_of(a),
-             .scan = controls.scan},
+             .storage = storage_of(a)},
             WeightSource{&weighted_cols_,
                          [this]() -> const std::vector<double>& {
                            return col_sq_;
                          }},
             residual,
-            [&]<bool kAtomic, ScanMode kScan>(int, auto&& run) {
-              run(detail::LsqUpdate<kAtomic, kScan, Index, Value>{
+            [&]<bool kAtomic>(int, auto&& run) {
+              run(detail::LsqUpdate<kAtomic, Index, Value>{
                   &a, &at, b.data(), col_sq_.data(), x.data(), beta});
             },
             detail::direction_plans(controls.seed, a.cols()));

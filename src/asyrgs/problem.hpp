@@ -46,21 +46,18 @@ namespace asyrgs {
 
 /// Requested CSR storage policy for a prepared handle, resolved once at
 /// construction (see resolve_storage_policy for the exact rules).  The
-/// narrow policies build a compact copy of the bound matrix at preparation
-/// time — int32 column indices halve the index bandwidth of every row scan,
-/// and kInt32Mixed additionally halves the value bandwidth (accumulation
-/// stays double; see docs/TUNING.md for when each wins).  Pinned-scan
-/// int32/double arithmetic is bit-identical to full width, which is why
-/// kAuto may narrow by default without breaking reproducibility contracts.
+/// narrow policy builds a compact copy of the bound matrix at preparation
+/// time — int32 column indices halve the index bandwidth of every row scan
+/// (docs/TUNING.md).  Pinned-scan int32/double arithmetic is bit-identical
+/// to full width, which is why kAuto may narrow by default without breaking
+/// reproducibility contracts.
 enum class StorageMode {
   kAuto,         ///< int32/double when the shape fits, else full width
   kInt64Double,  ///< full width; no compact copy is built
   kInt32Double,  ///< compact indices; falls back to full width on overflow
-  kInt32Mixed,   ///< compact indices + float values, double accumulation
 };
 
-/// Human-readable mode name ("auto", "int64_double", "int32_double",
-/// "int32_mixed").
+/// Human-readable mode name ("auto", "int64_double", "int32_double").
 [[nodiscard]] const char* to_string(StorageMode mode) noexcept;
 
 /// Resolves a storage request against the widest coordinate a policy's
@@ -86,11 +83,9 @@ namespace detail {
 /// One operator at every width a prepared handle may run it: the bound
 /// full-width matrix plus, when the resolved policy narrows, its compact
 /// copy (built once at preparation; shared_ptr so shard clones alias it).
-/// At most one of a32 / amixed is non-null.
 struct StoredMatrix {
   const CsrMatrix* full = nullptr;
   std::shared_ptr<const CsrMatrix32> a32;
-  std::shared_ptr<const CsrMatrixMixed> amixed;
 
   StoredMatrix() = default;
   StoredMatrix(const CsrMatrix& a, StoragePolicy policy);
@@ -176,8 +171,9 @@ class SpdProblem {
 
   /// Block variant: every coordinate update applies to all columns of X
   /// (the paper's 51-right-hand-side experiment).  Asynchronous only
-  /// (method must be kAuto or kAsyncRgs); the block kernel always runs the
-  /// pinned scan — scan_executed reports it.
+  /// (method must be kAuto or kAsyncRgs).  The only path that honours
+  /// ScanMode::kReassociated, and only for at most 4 columns; wider blocks
+  /// run the pinned scan — scan_executed reports which ran.
   SolveOutcome solve(const MultiVector& b, MultiVector& x,
                      const SolveControls& controls = {});
 

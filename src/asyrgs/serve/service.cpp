@@ -349,6 +349,8 @@ int SolveTicket::shard() {
 
 SolverService::SolverService(const CsrMatrix& a, ServiceOptions options) {
   require(options.shards >= 1, "SolverService: shards must be >= 1");
+  require(options.workers_per_shard >= 0,
+          "SolverService: workers_per_shard must be >= 0 (0 = auto)");
   require(options.max_queue >= 0,
           "SolverService: max_queue must be >= 0 (0 = unbounded)");
   require(options.prepare_spd || options.prepare_lsq,

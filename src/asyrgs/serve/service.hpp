@@ -93,7 +93,7 @@ struct ServiceOptions {
   /// extra thread — which makes auto-sized pools *unequal* when shards does
   /// not divide the hardware threads.  Keep it explicit when bit-identical
   /// results across services with different shard counts matter (see the
-  /// determinism note above).
+  /// determinism note above).  Negative values are rejected.
   int workers_per_shard = 0;
   /// Admission bound: maximum requests waiting for a shard (not counting
   /// the ones executing).  0 = unbounded (the pre-admission-control

@@ -136,10 +136,10 @@ class VirtualEngine {
     return std::max(acc, 0.0);
   }
 
-  // The production pinned-scan kernel in its racy-write specialization: on a
-  // single thread racy_add is an exact +=, and the pinned scan is the
-  // association the bit-reproducibility contract pins.
-  using Kernel = detail::SingleRhsUpdate<false, ScanMode::kPinned>;
+  // The production kernel in its racy-write specialization: on a single
+  // thread racy_add is an exact +=, and its pinned scan is the association
+  // the bit-reproducibility contract pins.
+  using Kernel = detail::SingleRhsUpdate<false>;
 
   const CsrMatrix& a_;
   const std::vector<double>& x_star_;

@@ -6,11 +6,9 @@
 //
 // The builder is parameterized on the same (Index, Value) storage policies
 // as CsrMatrixT and stores triplets directly at the target width — a file
-// loader or generator targeting CsrMatrix32/CsrMatrixMixed never
-// materializes full-width intermediates (the column range is validated once,
-// at add()).  Note that duplicate folding sums in Value precision: for the
-// mixed policy, assembly accumulates in float.  `CooBuilder` remains the
-// full-width alias.
+// loader or generator targeting CsrMatrix32 never materializes full-width
+// intermediates (the column range is validated once, at add()).
+// `CooBuilder` remains the full-width alias.
 #pragma once
 
 #include <algorithm>
@@ -28,7 +26,7 @@ template <class Index, class Value>
 class CooBuilderT {
   static_assert(detail::kSupportedStorage<Index, Value>,
                 "CooBuilderT: supported storage policies are <int64,double>, "
-                "<int32,double>, <int32,float>");
+                "<int32,double>");
 
  public:
   /// Creates a builder for a rows x cols matrix.  For narrow-index policies

@@ -123,7 +123,7 @@ void write_matrix_market_file(const std::string& path,
   write_matrix_market(out, a);
 }
 
-// Instantiate the policy-aware entry points for the three supported policies.
+// Instantiate the policy-aware entry points for the two supported policies.
 #define ASYRGS_INSTANTIATE_IO(Index, Value)                                   \
   template CsrMatrixT<Index, Value> read_matrix_market_as<Index, Value>(      \
       std::istream&);                                                         \
@@ -136,7 +136,6 @@ void write_matrix_market_file(const std::string& path,
 
 ASYRGS_INSTANTIATE_IO(std::int64_t, double)
 ASYRGS_INSTANTIATE_IO(std::int32_t, double)
-ASYRGS_INSTANTIATE_IO(std::int32_t, float)
 
 #undef ASYRGS_INSTANTIATE_IO
 

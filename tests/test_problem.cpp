@@ -12,9 +12,10 @@
 //      once per problem (not per solve), the LSQ transpose is built once
 //      and shared through the CsrMatrix cache, and a repeat solve performs
 //      no new scratch allocations.
-//  (c) The unified SolveOutcome: status semantics, the block solver's
-//      pinned-scan downgrade surfaced in scan_executed and the description,
-//      and the thread-safety contract (concurrent solve() on distinct x).
+//  (c) The unified SolveOutcome: status semantics, tolerance validation on
+//      every method, the pinned-scan downgrade of every path but small
+//      blocks surfaced in scan_executed and the description, and the
+//      thread-safety contract (concurrent solve() on distinct x).
 //  (d) Outcome pinning: every deterministic SolveOutcome field of every
 //      asynchronous solve path, under every storage, sync and scan mode.
 #include <gtest/gtest.h>
@@ -332,6 +333,44 @@ TEST(SolveOutcomeStatus, DivergingBarrierSolveStopsAtFirstNonFiniteResidual) {
   EXPECT_EQ(out.updates, 2LL * out.iterations);
 }
 
+TEST(SolveValidation, NegativeOrNanToleranceRejectedOnEveryMethod) {
+  // NaN passes any `rel_tol < 0` test, and the Krylov methods read the
+  // tolerance as well (kAuto even resolves NaN to FCG), so every method must
+  // reject a negative or NaN tolerance before it runs — none may report
+  // converged or spend its budget.
+  ThreadPool pool(2);
+  const CsrMatrix spd = laplacian_2d(6, 6);
+  const CsrMatrix tall = tall_matrix(30, 12, 3);
+  SpdProblem spd_problem(pool, spd);
+  LsqProblem lsq_problem(pool, tall);
+  const std::vector<double> b_spd = random_vector(spd.rows(), 1);
+  const std::vector<double> b_lsq = random_vector(tall.rows(), 2);
+  for (double rel_tol : {-1.0, std::nan("")}) {
+    SolveControls c;
+    c.sweeps = 2;
+    c.max_iterations = 2;
+    c.workers = 1;
+    c.sync = SyncMode::kBarrierPerSweep;
+    c.rel_tol = rel_tol;
+    for (SpdMethod method : {SpdMethod::kAsyncRgs, SpdMethod::kCg,
+                             SpdMethod::kFcgAsyRgs, SpdMethod::kAuto}) {
+      c.method = method;
+      std::vector<double> x(spd.rows(), 0.0);
+      EXPECT_THROW(spd_problem.solve(b_spd, x, c), Error)
+          << "method=" << static_cast<int>(method) << " rel_tol=" << rel_tol;
+    }
+    for (SpdMethod method : {SpdMethod::kAsyncRgs, SpdMethod::kAsyncKaczmarz}) {
+      c.method = method;
+      std::vector<double> x(static_cast<std::size_t>(tall.cols()), 0.0);
+      EXPECT_THROW(lsq_problem.solve(b_lsq, x, c), Error)
+          << "lsq method=" << static_cast<int>(method)
+          << " rel_tol=" << rel_tol;
+    }
+  }
+  EXPECT_EQ(spd_problem.stats().solves, 0);
+  EXPECT_EQ(lsq_problem.stats().solves, 0);
+}
+
 TEST(BlockScanMode, SmallBlocksHonourReassociatedWiderBlocksDowngrade) {
   ThreadPool pool(2);
   const CsrMatrix a = laplacian_2d(6, 6);
@@ -377,7 +416,8 @@ TEST(BlockScanMode, SmallBlocksHonourReassociatedWiderBlocksDowngrade) {
         << out.description;
   }
 
-  // The single-RHS kernels honour the request as before.
+  // A single-RHS request runs the pinned scan, says so, and is bit-identical
+  // to the pinned run.
   SolveControls opt;
   opt.sweeps = 4;
   opt.workers = 1;
@@ -386,7 +426,15 @@ TEST(BlockScanMode, SmallBlocksHonourReassociatedWiderBlocksDowngrade) {
   std::vector<double> x1(a.rows(), 0.0);
   const SolveOutcome single_report =
       async_rgs_solve(pool, a, b1, x1, opt);
-  EXPECT_EQ(single_report.scan_executed, ScanMode::kReassociated);
+  EXPECT_EQ(single_report.scan_requested, ScanMode::kReassociated);
+  EXPECT_EQ(single_report.scan_executed, ScanMode::kPinned);
+  EXPECT_NE(single_report.description.find("pinned scan run"),
+            std::string::npos)
+      << single_report.description;
+  opt.scan = ScanMode::kPinned;
+  std::vector<double> x1_pinned(a.rows(), 0.0);
+  async_rgs_solve(pool, a, b1, x1_pinned, opt);
+  EXPECT_EQ(x1, x1_pinned);
 }
 
 TEST(PreparedSpd, ConcurrentSolvesOnDistinctIteratesAreSerializedSafely) {
@@ -483,10 +531,10 @@ enum class PinPath { kSingle, kPartitioned, kBlock2, kBlock8, kLsq, kKaczmarz };
 constexpr int kPinSweeps = 3;
 constexpr int kPinWorkers = 2;
 
-/// Team size of a pinned case.  The reassociated kernels read the iterate
-/// with plain vector loads by design (see sparse/csr.hpp), which
-/// ThreadSanitizer reports as races, so those cases run one worker and the
-/// suite stays clean under the TSan job.
+/// Team size of a pinned case.  The small-block reassociated kernel reads
+/// the iterate with plain loads by design (see core/kernels.hpp), which
+/// ThreadSanitizer reports as races, so reassociated requests run one worker
+/// and the suite stays clean under the TSan job.
 int pin_workers(ScanMode scan) {
   return scan == ScanMode::kPinned ? kPinWorkers : 1;
 }
@@ -518,8 +566,6 @@ StoragePolicy pin_storage(StorageMode mode) {
     case StorageMode::kAuto:
     case StorageMode::kInt32Double:
       return StoragePolicy::kInt32Double;
-    case StorageMode::kInt32Mixed:
-      return StoragePolicy::kInt32Mixed;
     case StorageMode::kInt64Double:
       return StoragePolicy::kInt64Double;
   }
@@ -532,8 +578,6 @@ const char* pin_storage_note(StoragePolicy policy) {
       return "";
     case StoragePolicy::kInt32Double:
       return ", int32_double storage";
-    case StoragePolicy::kInt32Mixed:
-      return ", int32_mixed storage";
   }
   return "?";
 }
@@ -546,9 +590,8 @@ TEST(OutcomePinning, EveryAsyncPathUnderEveryStorageAndSyncMode) {
   const std::vector<double> b_lsq = random_vector(tall.rows(), 53);
 
   int cases = 0;
-  for (StorageMode mode :
-       {StorageMode::kAuto, StorageMode::kInt64Double,
-        StorageMode::kInt32Double, StorageMode::kInt32Mixed}) {
+  for (StorageMode mode : {StorageMode::kAuto, StorageMode::kInt64Double,
+                          StorageMode::kInt32Double}) {
     SpdProblem spd_problem(pool, spd, /*check_input=*/true, mode);
     LsqProblem lsq_problem(pool, tall, mode);
     const StoragePolicy storage = pin_storage(mode);
@@ -613,13 +656,6 @@ TEST(OutcomePinning, EveryAsyncPathUnderEveryStorageAndSyncMode) {
                   directions = spd.rows();
                   prefix = "AsyRGS block, " + threads + std::to_string(k) +
                            " rhs, ";
-                  if (k > 4 && scan == ScanMode::kReassociated) {
-                    executed = ScanMode::kPinned;
-                    middle +=
-                        "; reassociated scan requested but blocks wider "
-                        "than 4 right-hand sides run the pinned "
-                        "column-parallel scan";
-                  }
                   break;
                 }
                 case PinPath::kLsq:
@@ -634,6 +670,14 @@ TEST(OutcomePinning, EveryAsyncPathUnderEveryStorageAndSyncMode) {
                            threads;
                   break;
                 }
+              }
+              // Only blocks of at most 4 right-hand sides run the
+              // reassociated scan; every other path runs pinned and says so.
+              if (scan == ScanMode::kReassociated && path != PinPath::kBlock2) {
+                executed = ScanMode::kPinned;
+                middle +=
+                    "; reassociated scan requested, pinned scan run (only "
+                    "blocks of at most 4 right-hand sides reassociate)";
               }
               ++cases;
 
@@ -677,9 +721,9 @@ TEST(OutcomePinning, EveryAsyncPathUnderEveryStorageAndSyncMode) {
       }
     }
   }
-  // 4 storage modes x 2 scans x 2 tolerances x 22 (path, sync, sampling)
+  // 3 storage modes x 2 scans x 2 tolerances x 22 (path, sync, sampling)
   // combinations: the table above really ran, not an early-skipped loop.
-  EXPECT_EQ(cases, 4 * 2 * 2 * 22);
+  EXPECT_EQ(cases, 3 * 2 * 2 * 22);
 }
 
 }  // namespace

@@ -186,9 +186,9 @@ TEST_P(SeededTest, BernoulliExtremesMatchReferenceModels) {
 TEST_P(SeededTest, BlockScanExecutionSurfacedForRandomControls) {
   // For random controls, scan_requested must echo the request and
   // scan_executed must report the executed reality — which at k = 2 (<= 4)
-  // is the request itself, now that the small-K block kernel honours
-  // reassociation; the single-RHS path must honour the same request — for
-  // any sync mode.
+  // is the request itself, because the small-K block kernel honours
+  // reassociation, while the single-RHS path always runs pinned — for any
+  // sync mode.
   const std::uint64_t seed = GetParam();
   ThreadPool pool(2);
   const CsrMatrix a = laplacian_2d(5, 5);
@@ -217,7 +217,7 @@ TEST_P(SeededTest, BlockScanExecutionSurfacedForRandomControls) {
     std::vector<double> xs(a.rows(), 0.0);
     const SolveOutcome single_out = problem.solve(b, xs, controls);
     EXPECT_EQ(single_out.scan_requested, controls.scan);
-    EXPECT_EQ(single_out.scan_executed, controls.scan);
+    EXPECT_EQ(single_out.scan_executed, ScanMode::kPinned);
   }
 }
 

@@ -1,13 +1,10 @@
-// Scan-mode suite (PR 3): the opt-in fast-math row scan and the invariants
-// it must and must not preserve.
+// Scan-mode suite: the invariants the opt-in reassociated scan (block
+// solves of at most 4 right-hand sides only) must and must not preserve.
 //
 //  (a) The default path is pinned and stays bit-exact: ScanMode::kPinned is
-//      the default everywhere, and a pinned run is bit-identical to the
-//      sequential reference (the contract the PR-2 determinism suite gates).
-//  (b) The reassociated kernels compute the same sums up to rounding (they
-//      reassociate, never approximate), and the reassociated solvers
-//      converge to the same residual tolerance at 1, 2, and 4 workers.
-//  (c) Scan mode never touches direction planning: the engine consumes the
+//      the default, and a pinned run is bit-identical to the sequential
+//      reference (the contract the determinism suite gates).
+//  (b) Scan mode never touches direction planning: the engine consumes the
 //      identical direction multiset in both modes.
 //  Plus the oversubscription heuristic for team-parallel residuals.
 #include <gtest/gtest.h>
@@ -17,14 +14,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "asyrgs/core/async_lsq.hpp"
+#include "asyrgs/core/async_rgs.hpp"
 #include "asyrgs/core/engine.hpp"
 #include "asyrgs/core/rgs.hpp"
 #include "asyrgs/gen/laplacian.hpp"
 #include "asyrgs/gen/rhs.hpp"
-#include "asyrgs/solve.hpp"
-#include "asyrgs/sparse/coo.hpp"
-#include "asyrgs/support/prng.hpp"
 
 namespace asyrgs {
 namespace {
@@ -33,7 +27,6 @@ namespace {
 
 TEST(ScanModeDefault, PinnedEverywhere) {
   EXPECT_EQ(SolveControls{}.scan, ScanMode::kPinned);
-  EXPECT_EQ(SpdSolveOptions{}.scan, ScanMode::kPinned);
 }
 
 TEST(ScanModeDefault, PinnedSingleWorkerStaysBitExact) {
@@ -60,133 +53,7 @@ TEST(ScanModeDefault, PinnedSingleWorkerStaysBitExact) {
   EXPECT_EQ(x_seq, x_async);
 }
 
-// --- (b) reassociated kernels: same sum up to rounding ----------------------
-
-/// Random CSR-like row over a dense operand of size n.
-struct RowFixture {
-  std::vector<index_t> cols;
-  std::vector<double> vals;
-  std::vector<double> x;
-};
-
-RowFixture make_row(nnz_t len, index_t n, std::uint64_t seed) {
-  RowFixture f;
-  Xoshiro256 rng(seed);
-  f.x.resize(static_cast<std::size_t>(n));
-  for (double& v : f.x) v = normal(rng);
-  for (nnz_t t = 0; t < len; ++t) {
-    f.cols.push_back(uniform_index(rng, n));
-    f.vals.push_back(normal(rng));
-  }
-  std::sort(f.cols.begin(), f.cols.end());
-  return f;
-}
-
-TEST(ReassocKernels, MatchPinnedUpToRounding) {
-  // Every length from 0 through 70 crosses all dispatch boundaries: the
-  // scalar multi-accumulator path (< 16), the 8/16-wide vector bodies, and
-  // the masked/scalar tails of every width.
-  for (nnz_t len = 0; len <= 70; ++len) {
-    const RowFixture f = make_row(len, 977, 1000 + static_cast<std::uint64_t>(len));
-    const double pinned = csr_row_dot(f.cols.data(), f.vals.data(), len,
-                                      f.x.data());
-    const double reassoc = csr_row_dot_reassoc(f.cols.data(), f.vals.data(),
-                                               len, f.x.data());
-    // Bound the reassociation error by the classical |sum| <= len * eps *
-    // sum|terms| envelope (loose by design; any true error is orders of
-    // magnitude larger).
-    double abs_sum = 0.0;
-    for (nnz_t t = 0; t < len; ++t)
-      abs_sum += std::abs(f.vals[t] * f.x[f.cols[t]]);
-    const double tol =
-        static_cast<double>(len + 1) * 4e-16 * std::max(abs_sum, 1.0);
-    EXPECT_NEAR(pinned, reassoc, tol) << "len=" << len;
-  }
-}
-
-TEST(ReassocKernels, SubDotConsistentWithDot) {
-  const nnz_t len = 53;
-  const RowFixture f = make_row(len, 500, 99);
-  const double acc = 3.25;
-  EXPECT_EQ(csr_row_sub_dot_reassoc(acc, f.cols.data(), f.vals.data(), len,
-                                    f.x.data()),
-            acc - csr_row_dot_reassoc(f.cols.data(), f.vals.data(), len,
-                                      f.x.data()));
-}
-
-TEST(ReassocKernels, EmptyAndSingleEntryRows) {
-  const RowFixture f = make_row(1, 10, 7);
-  EXPECT_EQ(csr_row_dot_reassoc(f.cols.data(), f.vals.data(), 0, f.x.data()),
-            0.0);
-  EXPECT_EQ(csr_row_dot_reassoc(f.cols.data(), f.vals.data(), 1, f.x.data()),
-            f.vals[0] * f.x[f.cols[0]]);
-}
-
-// --- (b) reassociated solvers converge across worker counts ------------------
-
-TEST(ScanModeConvergence, ReassociatedReachesToleranceAcrossWorkerCounts) {
-  ThreadPool pool(4);
-  const CsrMatrix a = laplacian_2d(14, 14);
-  const std::vector<double> x_star = random_vector(a.rows(), 5);
-  const std::vector<double> b = rhs_from_solution(a, x_star);
-  for (int workers : {1, 2, 4}) {
-    std::vector<double> x(a.rows(), 0.0);
-    SolveControls opt;
-    opt.sweeps = 4000;
-    opt.seed = 17;
-    opt.workers = workers;
-    opt.sync = SyncMode::kBarrierPerSweep;
-    opt.scan = ScanMode::kReassociated;
-    opt.rel_tol = 1e-8;
-    const SolveOutcome rep = async_rgs_solve(pool, a, b, x, opt);
-    EXPECT_TRUE(rep.converged()) << "workers=" << workers;
-    EXPECT_LE(rep.relative_residual, 1e-8) << "workers=" << workers;
-  }
-}
-
-TEST(ScanModeConvergence, ReassociatedLsqReachesTolerance) {
-  ThreadPool pool(2);
-  CooBuilder builder(60, 25);
-  Xoshiro256 rng(3);
-  for (index_t i = 0; i < 60; ++i) {
-    builder.add(i, i % 25, 1.0 + uniform_real(rng));
-    for (int t = 0; t < 3; ++t)
-      builder.add(i, uniform_index(rng, 25), normal(rng) * 0.3);
-  }
-  const CsrMatrix a = builder.to_csr();
-  const std::vector<double> x_star = random_vector(25, 8);
-  const std::vector<double> b = rhs_from_solution(a, x_star);
-  std::vector<double> x(25, 0.0);
-  SolveControls opt;
-  opt.sweeps = 6000;
-  opt.seed = 9;
-  opt.workers = 2;
-  opt.step_size = 0.9;
-  opt.sync = SyncMode::kBarrierPerSweep;
-  opt.scan = ScanMode::kReassociated;
-  opt.rel_tol = 1e-8;
-  const SolveOutcome rep = async_lsq_solve(pool, a, b, x, opt);
-  EXPECT_TRUE(rep.converged());
-  EXPECT_LE(rep.relative_residual, 1e-8);
-}
-
-TEST(ScanModeConvergence, SolveSpdPlumbsReassociated) {
-  ThreadPool pool(2);
-  const CsrMatrix a = laplacian_2d(10, 10);
-  const std::vector<double> x_star = random_vector(a.rows(), 2);
-  const std::vector<double> b = rhs_from_solution(a, x_star);
-  std::vector<double> x(a.rows(), 0.0);
-  SpdSolveOptions opt;
-  opt.rel_tol = 1e-3;  // kAuto -> AsyRGS (the asynchronous path)
-  opt.scan = ScanMode::kReassociated;
-  opt.seed = 4;
-  const SpdSolveSummary s = solve_spd(pool, a, b, x, opt);
-  EXPECT_EQ(s.method_used, SpdMethod::kAsyncRgs);
-  EXPECT_TRUE(s.converged);
-  EXPECT_LE(s.relative_residual, 1e-3);
-}
-
-// --- (c) the direction multiset is scan-mode independent ---------------------
+// --- (b) the direction multiset is scan-mode independent ---------------------
 
 struct RecordingUpdate {
   std::vector<std::vector<index_t>>* per_worker;

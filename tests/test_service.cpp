@@ -365,6 +365,18 @@ TEST(SolverService, SolveErrorsRethrownAtWait) {
   EXPECT_EQ(service.stats().completed, 2);
 }
 
+TEST(SolverService, NegativeSizingOptionsRejectedAtConstruction) {
+  // Negative sizes are caller errors, not "auto": the service refuses them
+  // before it starts any pool.
+  const CsrMatrix a = laplacian_2d(4, 4);
+  ServiceOptions negative_workers = two_shard_options();
+  negative_workers.workers_per_shard = -1;
+  EXPECT_THROW(SolverService(a, negative_workers), Error);
+  ServiceOptions negative_queue = two_shard_options();
+  negative_queue.max_queue = -1;
+  EXPECT_THROW(SolverService(a, negative_queue), Error);
+}
+
 TEST(SolverService, TicketBasics) {
   SolveTicket invalid;
   EXPECT_FALSE(invalid.valid());

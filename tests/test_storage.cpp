@@ -1,6 +1,5 @@
-// Compact CSR storage policy suite (PR 7): int32 column indices and
-// mixed-precision values, resolved at handle preparation and plumbed
-// through every kernel.
+// Compact CSR storage policy suite: int32 column indices, resolved
+// at handle preparation and plumbed through every kernel.
 //
 //  (a) Golden bit-exactness: deterministic pinned-scan solves through the
 //      default CsrMatrix interface hash to the exact values captured on the
@@ -13,10 +12,8 @@
 //  (c) Policy equivalence and surfacing: int32/double storage reproduces
 //      full-width solves bit for bit and reports itself in
 //      SolveOutcome::storage_used / ProblemStats::storage / description;
-//      the Krylov outer methods stay full width.
-//  (d) Mixed precision: float values on both social-Gram conditioning
-//      regimes converge to within a bounded factor of the double solve —
-//      the storage trade never changes the accumulation type.
+//      the Krylov outer methods stay full width, and an explicit request
+//      survives shard cloning.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,7 +26,6 @@
 #include "asyrgs/gen/gram.hpp"
 #include "asyrgs/gen/laplacian.hpp"
 #include "asyrgs/gen/rhs.hpp"
-#include "asyrgs/linalg/norms.hpp"
 #include "asyrgs/problem.hpp"
 #include "asyrgs/sparse/io.hpp"
 #include "asyrgs/support/thread_pool.hpp"
@@ -134,12 +130,6 @@ TEST(StorageOverflow, ResolvePolicyFallsBackAboveInt32Range) {
             StoragePolicy::kInt64Double);
   EXPECT_TRUE(fell_back);
 
-  fell_back = false;
-  EXPECT_EQ(resolve_storage_policy(StorageMode::kInt32Mixed, kTooWide,
-                                   kSmallNnz, &fell_back),
-            StoragePolicy::kInt64Double);
-  EXPECT_TRUE(fell_back);
-
   fell_back = true;
   EXPECT_EQ(resolve_storage_policy(StorageMode::kInt64Double, kTooWide,
                                    kSmallNnz, &fell_back),
@@ -153,10 +143,8 @@ TEST(StorageOverflow, ResolvePolicyNarrowsWhenShapeFits) {
       resolve_storage_policy(StorageMode::kAuto, 1000, kSmallNnz, &fell_back),
       StoragePolicy::kInt32Double);
   EXPECT_FALSE(fell_back);
-  // kAuto never picks mixed — float values change the arithmetic and must
-  // be an explicit request.
-  EXPECT_EQ(resolve_storage_policy(StorageMode::kInt32Mixed, 1000, kSmallNnz),
-            StoragePolicy::kInt32Mixed);
+  EXPECT_EQ(resolve_storage_policy(StorageMode::kInt32Double, 1000, kSmallNnz),
+            StoragePolicy::kInt32Double);
   EXPECT_EQ(resolve_storage_policy(StorageMode::kInt64Double, 1000, kSmallNnz),
             StoragePolicy::kInt64Double);
   // Boundary: int32 admits exactly 2^31 columns (indices 0 .. 2^31 - 1).
@@ -191,12 +179,6 @@ TEST(StorageOverflow, ResolvePolicyGuardsNnzAtTheInt32Edge) {
             StoragePolicy::kInt64Double);
   EXPECT_TRUE(fell_back);
 
-  fell_back = false;
-  EXPECT_EQ(resolve_storage_policy(StorageMode::kInt32Mixed, 1000, kEdge + 1,
-                                   &fell_back),
-            StoragePolicy::kInt64Double);
-  EXPECT_TRUE(fell_back);
-
   fell_back = true;
   EXPECT_EQ(resolve_storage_policy(StorageMode::kInt64Double, 1000, kEdge + 1,
                                    &fell_back),
@@ -209,7 +191,6 @@ TEST(StorageOverflow, ConvertStorageThrowsBeyondIndexWidth) {
   // arithmetic makes the shape wide while the arrays stay tiny.
   const CsrMatrix wide(2, kTooWide, {0, 1, 2}, {0, 5}, {1.0, 2.0});
   EXPECT_THROW((convert_storage<std::int32_t, double>(wide)), Error);
-  EXPECT_THROW((convert_storage<std::int32_t, float>(wide)), Error);
   // Full width accepts the same shape.
   const CsrMatrix same = convert_storage<std::int64_t, double>(wide);
   EXPECT_EQ(same.cols(), kTooWide);
@@ -363,16 +344,12 @@ TEST(StoragePolicyTest, LsqHandleNarrowsBothFactors) {
 TEST(StoragePolicyTest, GeneratorsEmitIdenticalStructureAtEveryWidth) {
   const CsrMatrix wide = laplacian_2d(7, 5);
   const CsrMatrix32 narrow = laplacian_2d_as<std::int32_t, double>(7, 5);
-  const CsrMatrixMixed mixed = laplacian_2d_as<std::int32_t, float>(7, 5);
   ASSERT_EQ(wide.nnz(), narrow.nnz());
-  ASSERT_EQ(wide.nnz(), mixed.nnz());
   EXPECT_EQ(wide.row_ptr(), narrow.row_ptr());
   for (std::size_t t = 0; t < wide.col_idx().size(); ++t) {
     EXPECT_EQ(wide.col_idx()[t],
               static_cast<index_t>(narrow.col_idx()[t]));
     EXPECT_EQ(wide.values()[t], narrow.values()[t]);
-    // Stencil coefficients are small integers: exact in float.
-    EXPECT_EQ(wide.values()[t], static_cast<double>(mixed.values()[t]));
   }
 }
 
@@ -390,81 +367,23 @@ TEST(StoragePolicyTest, LoaderRoundTripsNarrowWidths) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// (d) Mixed precision on both Gram conditioning regimes
-// ---------------------------------------------------------------------------
-//
-// Float storage perturbs each matrix entry by at most one half-ulp of
-// float (relative 2^-24), so the solved system is A + dA with
-// ||dA|| / ||A|| ~ 1e-7 and the attainable relative residual degrades by
-// a conditioning-dependent factor.  The test pins a generous envelope:
-// mixed must track the double solve within 3 orders of magnitude and
-// still make real progress on its own.
-
-void expect_mixed_tracks_double(const SocialGramOptions& opt, double floor) {
-  ThreadPool pool(4);
-  const SocialGram sys = make_social_gram(opt);
-  SpdProblem exact(pool, sys.gram, /*check_input=*/false,
-                   StorageMode::kInt64Double);
-  SpdProblem mixed(pool, sys.gram, /*check_input=*/false,
-                   StorageMode::kInt32Mixed);
-  EXPECT_EQ(mixed.storage(), StoragePolicy::kInt32Mixed);
-
-  const std::vector<double> b = random_vector(sys.gram.rows(), 37);
-  SolveControls controls;
-  controls.sweeps = 40;
-  controls.sync = SyncMode::kBarrierPerSweep;
-  controls.workers = 2;
-  controls.seed = 41;
-
-  std::vector<double> x_exact(static_cast<std::size_t>(sys.gram.rows()), 0.0);
-  std::vector<double> x_mixed = x_exact;
-  const SolveOutcome out_exact = exact.solve(b, x_exact, controls);
-  const SolveOutcome out_mixed = mixed.solve(b, x_mixed, controls);
-  EXPECT_EQ(out_mixed.storage_used, StoragePolicy::kInt32Mixed);
-  EXPECT_NE(out_mixed.description.find("int32_mixed storage"),
-            std::string::npos);
-
-  const double r_exact = relative_residual(sys.gram, b, x_exact);
-  const double r_mixed = relative_residual(sys.gram, b, x_mixed);
-  // Real progress on its own terms...
-  EXPECT_LT(r_mixed, floor);
-  // ...and within the envelope of the double run (which may itself be
-  // near the float-perturbation floor, hence the additive term).
-  EXPECT_LT(r_mixed, 1e3 * r_exact + 1e-5);
-}
-
-TEST(StorageMixed, TracksDoubleOnWellConditionedGram) {
-  SocialGramOptions opt;
-  opt.terms = 256;
-  opt.documents = 2048;
-  opt.topics = 0;  // near-orthogonal columns: well-conditioned
-  expect_mixed_tracks_double(opt, 1e-3);
-}
-
-TEST(StorageMixed, TracksDoubleOnIllConditionedGram) {
-  SocialGramOptions opt;
-  opt.terms = 256;
-  opt.documents = 2048;
-  opt.topics = 16;  // topical correlation: ill-conditioned regime
-  expect_mixed_tracks_double(opt, 1e-1);
-}
-
-TEST(StorageMixed, ExplicitRequestSurvivesServicelessClone) {
+TEST(StoragePolicyTest, ExplicitRequestSurvivesServicelessClone) {
+  // kAuto would narrow this shape, so the clone must carry the explicit
+  // full-width request over rather than re-resolving it.
   ThreadPool pool_a(2);
   ThreadPool pool_b(2);
   const CsrMatrix a = laplacian_2d(8, 8);
-  SpdProblem original(pool_a, a, true, StorageMode::kInt32Mixed);
+  SpdProblem original(pool_a, a, true, StorageMode::kInt64Double);
   SpdProblem clone(pool_b, original);
-  EXPECT_EQ(clone.storage(), StoragePolicy::kInt32Mixed);
-  EXPECT_EQ(clone.stats().storage, StoragePolicy::kInt32Mixed);
+  EXPECT_EQ(clone.storage(), StoragePolicy::kInt64Double);
+  EXPECT_EQ(clone.stats().storage, StoragePolicy::kInt64Double);
 
   const std::vector<double> b = random_vector(a.rows(), 43);
   std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
   SolveControls controls;
   controls.sweeps = 15;
   const SolveOutcome out = clone.solve(b, x, controls);
-  EXPECT_EQ(out.storage_used, StoragePolicy::kInt32Mixed);
+  EXPECT_EQ(out.storage_used, StoragePolicy::kInt64Double);
 }
 
 }  // namespace

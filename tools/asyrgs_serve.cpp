@@ -5,6 +5,7 @@
 //                [--threads-per-shard 0] [--seed 1]
 //                [--max-queue 0] [--deadline 0] [--trace FILE]
 //                [--arrival-rate 0] [--duration 2]
+//                [--storage auto|int64|int32]
 //
 // Loads an SPD Matrix Market operator (or generates a 2-D Laplacian when
 // --matrix is omitted — self-contained smoke mode), builds a SolverService
@@ -27,6 +28,9 @@
 // --trace FILE attaches the JSON trace sink (serve/metrics.hpp): one JSON
 // object per request with enqueue/start/done timestamps, shard, priority,
 // and status — feed it to jq or a notebook to see queueing in action.
+//
+// Every flag is checked before the matrix is read, so a bad value fails at
+// once even on a large input.
 //
 // This is the CLI face of the serving story: one analyzed matrix, many
 // concurrent solves, scaled across pool shards, shedding what it cannot
@@ -109,8 +113,7 @@ int main(int argc, char** argv) {
       "trace", "", "write one JSON trace line per request to this file");
   auto storage = cli.add_string(
       "storage", "auto",
-      "CSR storage policy for the prepared handles: auto | int64 | int32 | "
-      "mixed");
+      "CSR storage policy for the prepared handles: auto | int64 | int32");
   auto arrival_rate = cli.add_double(
       "arrival-rate", 0.0, "open-loop arrivals per second (0 = closed loop)");
   auto duration = cli.add_double(
@@ -123,8 +126,25 @@ int main(int argc, char** argv) {
     require(*clients >= 1, "--clients must be >= 1");
     require(*mix == "spd" || *mix == "lsq" || *mix == "mixed",
             "unknown --mix (want spd|lsq|mixed)");
+    require(*sweeps >= 0, "--sweeps must be >= 0");
+    require(*tol >= 0.0, "--tol must be >= 0");
+    require(*lsq_tol >= 0.0 || *lsq_tol == -1.0,
+            "--lsq-tol must be >= 0 (leave it out to use --tol)");
+    require(*threads_per_shard >= 0,
+            "--threads-per-shard must be >= 0 (0 = auto)");
+    require(*max_queue >= 0, "--max-queue must be >= 0 (0 = unbounded)");
+    require(*deadline >= 0.0, "--deadline must be >= 0 (0 = none)");
     require(*arrival_rate >= 0.0, "--arrival-rate must be >= 0");
     require(*duration > 0.0, "--duration must be > 0");
+    ServiceOptions options;
+    if (*storage == "auto")
+      options.storage = StorageMode::kAuto;
+    else if (*storage == "int64")
+      options.storage = StorageMode::kInt64Double;
+    else if (*storage == "int32")
+      options.storage = StorageMode::kInt32Double;
+    else
+      throw Error("unknown --storage (want auto|int64|int32)");
 
     const CsrMatrix a = matrix_path.value().empty()
                             ? laplacian_2d(24, 24)
@@ -139,22 +159,11 @@ int main(int argc, char** argv) {
             "--mix spd/mixed requires a square (SPD) matrix");
 
     std::ofstream trace_file;
-    ServiceOptions options;
     options.shards = static_cast<int>(*shards);
     options.workers_per_shard = static_cast<int>(*threads_per_shard);
     options.prepare_spd = want_spd;
     options.prepare_lsq = want_lsq;
     options.max_queue = static_cast<int>(*max_queue);
-    if (*storage == "auto")
-      options.storage = StorageMode::kAuto;
-    else if (*storage == "int64")
-      options.storage = StorageMode::kInt64Double;
-    else if (*storage == "int32")
-      options.storage = StorageMode::kInt32Double;
-    else if (*storage == "mixed")
-      options.storage = StorageMode::kInt32Mixed;
-    else
-      throw Error("unknown --storage (want auto|int64|int32|mixed)");
     if (!trace_path.value().empty()) {
       trace_file.open(*trace_path);
       require(trace_file.good(), "--trace: cannot open output file");
