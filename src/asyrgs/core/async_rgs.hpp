@@ -183,6 +183,11 @@ struct SolveOutcome {
   long long updates = 0;     ///< coordinate updates (asynchronous methods)
   int workers = 0;           ///< actual team size used
   double relative_residual = 0.0;  ///< when a tolerance/history was active
+  /// Exact residual evaluations the engine ran.  A barrier run with a
+  /// tolerance skips the check on sweeps whose free estimate reads well
+  /// above it, so this is usually far below `iterations`; 0 for
+  /// free-running runs and the Krylov methods.
+  int residual_checks = 0;
   double seconds = 0.0;      ///< iteration-loop wall time
   ScanMode scan_requested = ScanMode::kPinned;
   /// Association the kernels actually ran; kReassociated only for block

@@ -409,9 +409,18 @@ class TeamReduce {
   std::vector<Padded<double>> partial_;
 };
 
-/// Reusable solver scratch: per-worker direction buffers, the team-reduce
-/// used by residual functors, a cache-line-strided per-worker double slab
-/// (block gamma scratch), and a dense double buffer (least-squares residual).
+/// One worker's share of a barrier sweep's convergence estimate: the sum of
+/// the squared residual components its updates returned, and the sum of
+/// their squares (for the estimate's standard error).
+struct SweepEstimate {
+  double sum = 0.0;
+  double sum_sq = 0.0;
+};
+
+/// Reusable solver scratch: per-worker direction buffers and convergence
+/// estimate slots, the team-reduce used by residual functors, a
+/// cache-line-strided per-worker double slab (block gamma scratch), and a
+/// dense double buffer (least-squares residual).
 /// A prepared problem handle (asyrgs/problem.hpp) owns one of these and hands
 /// it to every solve so repeated solves against one matrix re-use the
 /// allocations; direct engine callers may pass none and get a throwaway one.
@@ -425,8 +434,16 @@ class EngineScratch {
   /// Sizes the per-worker slot array.  Must be called before run_team and
   /// never during one.
   void prepare(int workers) {
-    if (static_cast<int>(dirs_.size()) < workers)
+    if (static_cast<int>(dirs_.size()) < workers) {
       dirs_.resize(static_cast<std::size_t>(workers));
+      estimates_.resize(static_cast<std::size_t>(workers));
+    }
+  }
+
+  /// One cache-line-padded slot per worker for its share of a sweep's
+  /// convergence estimate (see run_engine_with_plan).
+  [[nodiscard]] Padded<SweepEstimate>* estimates() noexcept {
+    return estimates_.data();
   }
 
   /// Worker w's direction buffer with room for `capacity` picks.  Grows
@@ -480,12 +497,19 @@ class EngineScratch {
 
  private:
   std::vector<std::vector<index_t>> dirs_;
+  std::vector<Padded<SweepEstimate>> estimates_;
   std::optional<TeamReduce> reduce_;
   int reduce_workers_ = 0;
   aligned_vector<double> slab_;
   std::vector<double> dense_;
   std::atomic<long long> allocations_{0};
 };
+
+/// A barrier run skips the exact residual while the lower confidence bound
+/// of the sweep's estimate, kEstimateStandardErrors below it, reads above
+/// kCheckNearTolerance times the tolerance (see run_engine_with_plan).
+inline constexpr double kCheckNearTolerance = 1.25;
+inline constexpr double kEstimateStandardErrors = 2.0;
 
 /// The synchronization-mode bodies behind run_engine, generic over the
 /// direction schedule: `make_plan(team)` builds it (DirectionPlan or
@@ -498,8 +522,9 @@ class EngineScratch {
 template <typename PlanFactory, typename UpdateFn, typename ResidualFn>
 void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
                           index_t n, int workers, PlanFactory&& make_plan,
-                          UpdateFn&& update, ResidualFn&& residual,
-                          SolveOutcome& out, EngineScratch* scratch) {
+                          bool weighted_draws, UpdateFn&& update,
+                          ResidualFn&& residual, SolveOutcome& out,
+                          EngineScratch* scratch) {
   using Plan = std::decay_t<decltype(make_plan(1))>;
   EngineScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
@@ -556,6 +581,33 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
 
   // kBarrierPerSweep: each worker runs its share of a sweep, then the team
   // rendezvouses for the residual check.
+  //
+  // An update functor that returns a double hands back the squared residual
+  // component its update computed anyway (the r_j of iteration (8)).  Over
+  // one sweep of uniform draws — n of them, team-wide, stratified per
+  // partition under a partitioned plan — their sum estimates the squared
+  // numerator of the exact metric at no cost, and the spread of the
+  // samples gives its standard error.  The estimate only decides whether
+  // the exact team residual runs: while even its lower confidence bound
+  // reads well above the tolerance the sweep skips the check, and a solve
+  // still stops on the exact residual alone.  The bound matters on small
+  // or skewed systems, where a few rows carry the residual and the plain
+  // estimate can read low or high by tens of percent.  An estimate of at
+  // least 1 (the run is not contracting: a bad start or a diverging step)
+  // checks every sweep, so a diverging run still stops at its first
+  // non-finite residual.  Runs
+  // that cannot trust the estimate check every sweep: weighted draws (the
+  // sum would need importance weights), history tracking, and functors
+  // that return nothing (Kaczmarz, whose row residual is not its metric).
+  // The budget's last sweep always checks, so the reported residual is
+  // exact.
+  constexpr bool kEstimates = std::is_same_v<
+      std::invoke_result_t<UpdateFn&, int, index_t, index_t>, double>;
+  const bool gated = kEstimates && !weighted_draws &&
+                     controls.rel_tol > 0.0 && !controls.track_history;
+  double denominator = 0.0;
+  if constexpr (kEstimates) denominator = residual.denominator();
+  Padded<SweepEstimate>* const estimates = scratch->estimates();
   const Plan plan = make_plan(workers);
   SpinBarrier barrier(workers);
   std::atomic<bool> stop{false};
@@ -576,20 +628,56 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
         scratch->dirs(id, static_cast<std::size_t>(chunk_cap));
     for (int sweep = 0; sweep < sweeps; ++sweep) {
       index_t t = 0;
+      double sq = 0.0;
+      double sq_sq = 0.0;
       while (t < mine) {
         const std::size_t chunk =
             static_cast<std::size_t>(std::min<index_t>(chunk_cap, mine - t));
         my_plan->fill_in_sweep(id, sweep, t, chunk, dirs);
         const index_t* d = dirs;
-        for (std::size_t i = 0; i < chunk; ++i)
-          update(id, d[i], d[std::min(i + kPrefetchDistance, chunk - 1)]);
+        for (std::size_t i = 0; i < chunk; ++i) {
+          const index_t ahead = d[std::min(i + kPrefetchDistance, chunk - 1)];
+          if constexpr (kEstimates) {
+            const double v = update(id, d[i], ahead);
+            sq += v;
+            sq_sq += v * v;
+          } else {
+            update(id, d[i], ahead);
+          }
+        }
         t += static_cast<index_t>(chunk);
       }
+      if constexpr (kEstimates) estimates[id].value = {sq, sq_sq};
       if (full_team) barrier.arrive_and_wait();
-      const double rel = check_enabled ? residual(id, team) : 0.0;
+      bool check = check_enabled;
+      if (gated && sweep + 1 < sweeps) {
+        // Every worker sums the slots in worker order after the barrier, so
+        // the team reaches one decision without another rendezvous; the
+        // slots are rewritten only after the closing barrier below.
+        SweepEstimate total;
+        for (int w = 0; w < team; ++w) {
+          total.sum += estimates[w].value.sum;
+          total.sum_sq += estimates[w].value.sum_sq;
+        }
+        // n samples of mean ||r||^2 / n: the sum's variance is about
+        // sum_sq - sum^2 / n.
+        const double spread = std::sqrt(std::max(
+            total.sum_sq - total.sum * total.sum / static_cast<double>(n),
+            0.0));
+        const double low = std::max(
+            total.sum - kEstimateStandardErrors * spread, 0.0);
+        const double scale = denominator > 0.0 ? 1.0 / denominator : 1.0;
+        const double est = std::sqrt(total.sum) * scale;
+        const double est_low = std::sqrt(low) * scale;
+        // Written so that a NaN estimate checks, like an infinite one.
+        check = !(est_low > kCheckNearTolerance * controls.rel_tol &&
+                  est < 1.0);
+      }
+      const double rel = check ? residual(id, team) : 0.0;
       if (id == 0) {
         sweeps_done.store(sweep + 1, std::memory_order_relaxed);
-        if (check_enabled) {
+        if (check) {
+          ++out.residual_checks;
           out.relative_residual = rel;
           if (controls.track_history) out.residual_history.push_back(rel);
           if (controls.rel_tol > 0.0 && rel <= controls.rel_tol) {
@@ -616,17 +704,21 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
 /// `update(worker, r, r_ahead)` performs one coordinate update on direction
 /// r; r_ahead is a direction the worker will execute kPrefetchDistance picks
 /// later (clamped to the refill chunk), for cache prefetching — functors may
-/// ignore it.  `residual(worker, team)` evaluates the convergence metric at
-/// synchronization points; it is called by *every* rendezvoused worker
-/// (team-parallel reduction — see TeamReduce) and only worker 0's return
-/// value is used.  The engine calls it only when controls request history
-/// tracking or a tolerance.
+/// ignore it.  An update may return its squared residual component as a
+/// double; the residual functor must then expose the metric's constant
+/// `denominator()`, and a barrier run with a tolerance evaluates the exact
+/// residual only on sweeps whose free estimate is near it (see
+/// run_engine_with_plan).  `residual(worker, team)` evaluates the
+/// convergence metric at synchronization points; it is called by *every*
+/// rendezvoused worker (team-parallel reduction — see TeamReduce) and only
+/// worker 0's return value is used.  The engine calls it only when controls
+/// request history tracking or a tolerance.
 ///
 /// `make_plan(team, sampler)` builds the direction schedule for a team size
 /// drawing through `sampler` (null: uniform draws) — DirectionPlan (see
 /// direction_plans) or PartitionedDirectionPlan.  The engine fills the
 /// iteration fields of `out` — iterations, updates, relative_residual,
-/// residual_history — and sets status to kConverged when the tolerance is
+/// residual_checks, residual_history — and sets status to kConverged when the tolerance is
 /// met.  A synchronizing run stops early, status untouched, at the first
 /// non-finite residual.  Every other outcome field is the caller's.
 ///
@@ -644,7 +736,7 @@ void run_engine(ThreadPool& pool, const SolveControls& controls, index_t n,
             "run_engine: sampler direction count must match the engine");
   run_engine_with_plan(
       pool, controls, n, workers,
-      [&](int team) { return make_plan(team, sampler); },
+      [&](int team) { return make_plan(team, sampler); }, sampler != nullptr,
       std::forward<UpdateFn>(update), std::forward<ResidualFn>(residual),
       out, scratch);
 }

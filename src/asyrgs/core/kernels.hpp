@@ -63,25 +63,30 @@ struct SingleRhsUpdate {
   double* x;
   double beta;
 
-  /// The relaxation increment beta * gamma_r = beta * (b_r - A_r x) / A_rr
-  /// computed from the current contents of x — the *compute* half of one
-  /// coordinate update, exposed as a seam so the deterministic virtual
-  /// engine (simulate/virtual_engine.hpp) can evaluate the identical kernel
+  /// The row residual r_r = b_r - A_r x from the current contents of x:
+  /// one subtraction per nonzero in column order.
+  [[nodiscard]] double row_residual(index_t r) const noexcept {
+    const nnz_t* __restrict rp = row_ptr;
+    const Index* __restrict ci = cols;
+    const Value* __restrict av = vals;
+    double acc = rhs_diag[r].b;
+    const nnz_t lo = rp[r];
+    const nnz_t hi = rp[r + 1];
+    for (nnz_t t = lo; t < hi; ++t)
+      acc -= av[t] * atomic_load_relaxed(x[ci[t]]);
+    return acc;
+  }
+
+  /// The relaxation increment beta * gamma_r = beta * r_r / A_rr computed
+  /// from the current contents of x — the *compute* half of one coordinate
+  /// update, exposed as a seam so the deterministic virtual engine
+  /// (simulate/virtual_engine.hpp) can evaluate the identical kernel
   /// arithmetic against a materialized stale snapshot, outside the
   /// thread-pool loop.  operator() below is compute + apply; splitting the
   /// two must not perturb the hot path (inlined back together, gated by the
   /// pre-refactor golden hashes in tests/test_storage.cpp).
   [[nodiscard]] double delta(index_t r) const noexcept {
-    const nnz_t* __restrict rp = row_ptr;
-    const Index* __restrict ci = cols;
-    const Value* __restrict av = vals;
-    const RhsDiagPair* __restrict bd = rhs_diag;
-    double acc = bd[r].b;
-    const nnz_t lo = rp[r];
-    const nnz_t hi = rp[r + 1];
-    for (nnz_t t = lo; t < hi; ++t)
-      acc -= av[t] * atomic_load_relaxed(x[ci[t]]);
-    return beta * (acc * bd[r].inv_diag);
+    return beta * (row_residual(r) * rhs_diag[r].inv_diag);
   }
 
   /// The *apply* half: commits a previously computed increment onto the
@@ -93,7 +98,9 @@ struct SingleRhsUpdate {
       racy_add(x[r], d);
   }
 
-  void operator()(int, index_t r, index_t r_ahead) const noexcept {
+  /// One update; returns r_r^2, the update's free sample of ||b - A x||^2
+  /// (the engine's convergence estimate, see run_engine_with_plan).
+  double operator()(int, index_t r, index_t r_ahead) const noexcept {
     // The direction buffer makes the future known: pull an upcoming row's
     // constants and the head of its index/value arrays into cache while this
     // row's scan chain retires.
@@ -102,7 +109,9 @@ struct SingleRhsUpdate {
     __builtin_prefetch(&vals[ahead_lo]);
     __builtin_prefetch(&cols[ahead_lo]);
     __builtin_prefetch(&x[r_ahead]);
-    apply(r, delta(r));
+    const double rr = row_residual(r);
+    apply(r, beta * (rr * rhs_diag[r].inv_diag));
+    return rr * rr;
   }
 };
 
@@ -120,7 +129,9 @@ struct BlockRhsUpdate {
   double* gamma_base;
   std::size_t gamma_stride;
 
-  void operator()(int worker, index_t r, index_t r_ahead) const noexcept {
+  /// One update; returns sum_c gamma_c^2, the update's sample of
+  /// ||B - A X||_F^2.
+  double operator()(int worker, index_t r, index_t r_ahead) const noexcept {
     __builtin_prefetch(x->row(r_ahead));
     __builtin_prefetch(b->row(r_ahead));
     double* __restrict gamma =
@@ -145,6 +156,9 @@ struct BlockRhsUpdate {
       for (index_t c = 0; c < k; ++c)
         racy_add(xr[c], beta * (gamma[c] * inv));
     }
+    double sq = 0.0;
+    for (index_t c = 0; c < k; ++c) sq += gamma[c] * gamma[c];
+    return sq;
   }
 };
 
@@ -171,7 +185,8 @@ struct BlockRhsUpdateSmallK {
   const double* inv_diag;
   double beta;
 
-  void operator()(int, index_t r, index_t r_ahead) const noexcept {
+  /// One update; returns sum_c gamma_c^2 (see BlockRhsUpdate).
+  double operator()(int, index_t r, index_t r_ahead) const noexcept {
     __builtin_prefetch(x->row(r_ahead));
     __builtin_prefetch(b->row(r_ahead));
     const double* b_row = b->row(r);
@@ -201,13 +216,17 @@ struct BlockRhsUpdateSmallK {
     }
     const double inv = inv_diag[r];
     double* xr = x->row(r);
+    double sq = 0.0;
     for (int c = 0; c < K; ++c) {
-      const double delta = beta * ((g0[c] + g1[c]) * inv);
+      const double gamma = g0[c] + g1[c];
+      const double delta = beta * (gamma * inv);
       if constexpr (kAtomicWrites)
         atomic_add_relaxed(xr[c], delta);
       else
         racy_add(xr[c], delta);
+      sq += gamma * gamma;
     }
+    return sq;
   }
 };
 
@@ -227,9 +246,13 @@ class SingleRhsResidual {
         serial_(!team_residual_profitable(workers)),
         b_norm_(nrm2(b)) {}
 
-  /// Out of line on purpose: it runs once per sweep, and inlined into the
-  /// engine's worker body it made 4-worker barrier solves 3-4% slower
-  /// (asyrgs_solve, 8000-row Gram, 4-core host) by reshaping the hot loop.
+  /// The constant denominator ||b|| of the reported metric.
+  [[nodiscard]] double denominator() const noexcept { return b_norm_; }
+
+  /// Out of line on purpose, like every residual functor here: it runs at
+  /// most once per sweep, and inlined into the engine's worker body it made
+  /// 4-worker barrier solves 3-4% slower (asyrgs_solve, 8000-row Gram,
+  /// 4-core host) by reshaping the hot loop.
   [[gnu::noinline]] double operator()(int id, int team) {
     const auto partial = [&](int w, int t) {
       const auto [lo, hi] = chunk_of(a_.rows(), w, t);
@@ -278,7 +301,11 @@ class BlockRhsResidual {
         serial_(!team_residual_profitable(workers)),
         b_norm_(frobenius_norm(b)) {}
 
-  double operator()(int id, int team) {
+  /// The constant denominator ||B||_F of the reported metric.
+  [[nodiscard]] double denominator() const noexcept { return b_norm_; }
+
+  /// Out of line on purpose (see SingleRhsResidual).
+  [[gnu::noinline]] double operator()(int id, int team) {
     const auto partial = [&](int w, int t) {
       const index_t k = b_.cols();
       std::vector<double> row(static_cast<std::size_t>(k));
@@ -331,7 +358,9 @@ struct LsqUpdate {
   double* x;
   double beta;
 
-  void operator()(int, index_t j, index_t j_ahead) const noexcept {
+  /// One update; returns gamma^2 = (A_j^T r)^2, the update's sample of
+  /// ||A^T (b - A x)||^2 (the metric LsqResidual reports).
+  double operator()(int, index_t j, index_t j_ahead) const noexcept {
     __builtin_prefetch(at->row_cols(j_ahead).data());
     __builtin_prefetch(at->row_vals(j_ahead).data());
     const auto rows = at->row_cols(j);
@@ -351,6 +380,7 @@ struct LsqUpdate {
       atomic_add_relaxed(x[j], delta);
     else
       racy_add(x[j], delta);
+    return gamma * gamma;
   }
 };
 
@@ -441,7 +471,12 @@ class LsqResidual {
     denom_ = nrm2(g0);
   }
 
-  double operator()(int id, int team) {
+  /// The constant denominator ||A^T b|| of the reported metric (0 when the
+  /// functor was built disabled).
+  [[nodiscard]] double denominator() const noexcept { return denom_; }
+
+  /// Out of line on purpose (see SingleRhsResidual).
+  [[gnu::noinline]] double operator()(int id, int team) {
     // Oversubscribed host: both phases run serially on worker 0 with the
     // same chunked association as the team-parallel path (see
     // TeamReduce::run_serial and docs/TUNING.md for the heuristic); the

@@ -416,6 +416,8 @@ void SolverService::shutdown() {
 
 SolveTicket SolverService::enqueue(std::shared_ptr<detail::TicketState> state,
                                    const RequestOptions& request) {
+  require(request.deadline_seconds >= 0.0,
+          "SolverService: deadline_seconds must be >= 0 (0 disables it)");
   state->priority = std::clamp(request.priority, 0, kPriorityClasses - 1);
   state->enqueue_tp = detail::ServiceClock::now();
   if (request.deadline_seconds > 0.0) {

@@ -137,8 +137,8 @@ struct RequestOptions {
   /// clamp into range).  The queue is FIFO within a class; a free shard
   /// always takes the oldest request of the most urgent non-empty class.
   int priority = 1;
-  /// Deadline measured from submission, in seconds; 0 (or negative)
-  /// disables it.  A request still *queued* when its deadline passes is
+  /// Deadline measured from submission, in seconds; 0 disables it, and a
+  /// negative or NaN value makes the submit throw.  A request still *queued* when its deadline passes is
   /// shed with SolveStatus::kRejected and never executes.  A request
   /// already running is never aborted (solves are short; aborting
   /// mid-iteration would forfeit the paper's convergence guarantees).

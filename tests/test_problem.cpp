@@ -698,6 +698,22 @@ TEST(OutcomePinning, EveryAsyncPathUnderEveryStorageAndSyncMode) {
                                              : SpdMethod::kAsyncRgs)
                   << label;
               EXPECT_EQ(out.iterations, kPinSweeps) << label;
+              // Exact residual checks: none without a tolerance or when
+              // free-running; every sweep under weighted draws and for
+              // Kaczmarz; otherwise the budget's last sweep, since the free
+              // estimate never nears 1e-30.  Least squares adds sweep 1:
+              // tall_matrix's normal equations are diagonal, so each drawn
+              // column is solved exactly, and after sweep 0 the few columns
+              // not yet drawn carry the whole residual — the estimate's
+              // spread then leaves no lower bound, and the sweep checks.
+              int checks = 0;
+              if (rel_tol > 0.0 && sync == SyncMode::kBarrierPerSweep)
+                checks = sampling == SamplingPolicy::kWeighted ||
+                                 path == PinPath::kKaczmarz
+                             ? kPinSweeps
+                         : path == PinPath::kLsq ? 2
+                                                 : 1;
+              EXPECT_EQ(out.residual_checks, checks) << label;
               EXPECT_EQ(out.updates,
                         static_cast<long long>(kPinSweeps) * directions)
                   << label;

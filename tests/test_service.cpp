@@ -34,6 +34,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -525,7 +526,9 @@ TEST(SolverService, DeadlineExpiredRequestsAreShedUnexecuted) {
 }
 
 TEST(SolverService, HigherPriorityClassDispatchesFirst) {
-  const CsrMatrix a = laplacian_2d(16, 16);
+  // The busy request must outlast the 1 ms polls of wait_for_in_flight even
+  // on a loaded host: 8000 sweeps of a 1024-row Laplacian (~8M updates).
+  const CsrMatrix a = laplacian_2d(32, 32);
   auto trace_text = std::make_shared<std::ostringstream>();
   ServiceOptions options;
   options.shards = 1;
@@ -537,7 +540,7 @@ TEST(SolverService, HigherPriorityClassDispatchesFirst) {
 
   // While the shard is busy, queue a low-priority request first and a
   // high-priority one second; the high-priority one must run first.
-  SolveTicket busy = service.submit(b, slow_controls());
+  SolveTicket busy = service.submit(b, slow_controls(8000));
   ASSERT_TRUE(wait_for_in_flight(service, 1));
   RequestOptions low, high;
   low.priority = 2;
@@ -733,6 +736,40 @@ TEST(SolverService, WarmStartValidatesIterateShapeEagerly) {
   EXPECT_THROW(service.submit(b, std::vector<double>(3, 0.0)), Error);
   EXPECT_THROW(
       service.submit_least_squares(b, std::vector<double>(3, 0.0)), Error);
+}
+
+TEST(SolverService, NegativeOrNanDeadlineRejectedEagerly) {
+  // A negative or NaN deadline is a caller error, not "no deadline": every
+  // submit path throws before the request is admitted.
+  const CsrMatrix a = laplacian_2d(6, 6);
+  ServiceOptions options;
+  options.shards = 1;
+  options.prepare_lsq = true;
+  SolverService service(a, options);
+  const std::vector<double> b = random_vector(a.rows(), 7);
+  SolveControls controls;
+  controls.sweeps = 2;
+  controls.workers = 1;
+  for (double deadline : {-5.0, std::numeric_limits<double>::quiet_NaN()}) {
+    RequestOptions bad;
+    bad.deadline_seconds = deadline;
+    EXPECT_THROW(service.submit(b, controls, bad), Error) << deadline;
+    EXPECT_THROW(service.submit(b, std::vector<double>(b.size(), 0.0),
+                                controls, bad),
+                 Error)
+        << deadline;
+    EXPECT_THROW(service.submit_block(MultiVector(a.rows(), 2), controls, bad),
+                 Error)
+        << deadline;
+    EXPECT_THROW(service.submit_least_squares(b, controls, bad), Error)
+        << deadline;
+  }
+  EXPECT_EQ(service.stats().submitted, 0);
+  // Zero still means "no deadline".
+  RequestOptions none;
+  none.deadline_seconds = 0.0;
+  EXPECT_EQ(service.submit(b, controls, none).wait().status,
+            SolveStatus::kBudgetCompleted);
 }
 
 // --- (g) observability -------------------------------------------------------
