@@ -595,10 +595,10 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
   // estimate can read low or high by tens of percent.  An estimate of at
   // least 1 (the run is not contracting: a bad start or a diverging step)
   // checks every sweep, so a diverging run still stops at its first
-  // non-finite residual.  Runs
-  // that cannot trust the estimate check every sweep: weighted draws (the
-  // sum would need importance weights), history tracking, and functors
-  // that return nothing (Kaczmarz, whose row residual is not its metric).
+  // non-finite residual.  Runs that cannot trust the estimate check every
+  // sweep: weighted draws (the sum would need importance weights), history
+  // tracking, and functors that return nothing (Kaczmarz, whose row
+  // residual is not its metric).
   // The budget's last sweep always checks, so the reported residual is
   // exact.
   constexpr bool kEstimates = std::is_same_v<
@@ -718,8 +718,8 @@ void run_engine_with_plan(ThreadPool& pool, const SolveControls& controls,
 /// drawing through `sampler` (null: uniform draws) — DirectionPlan (see
 /// direction_plans) or PartitionedDirectionPlan.  The engine fills the
 /// iteration fields of `out` — iterations, updates, relative_residual,
-/// residual_checks, residual_history — and sets status to kConverged when the tolerance is
-/// met.  A synchronizing run stops early, status untouched, at the first
+/// residual_checks, residual_history — and sets status to kConverged when
+/// the tolerance is met.  A synchronizing run stops early, status untouched, at the first
 /// non-finite residual.  Every other outcome field is the caller's.
 ///
 /// `scratch` (optional) supplies reusable per-worker direction buffers; a

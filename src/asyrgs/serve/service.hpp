@@ -138,10 +138,11 @@ struct RequestOptions {
   /// always takes the oldest request of the most urgent non-empty class.
   int priority = 1;
   /// Deadline measured from submission, in seconds; 0 disables it, and a
-  /// negative or NaN value makes the submit throw.  A request still *queued* when its deadline passes is
-  /// shed with SolveStatus::kRejected and never executes.  A request
-  /// already running is never aborted (solves are short; aborting
-  /// mid-iteration would forfeit the paper's convergence guarantees).
+  /// negative or NaN value makes the submit throw.  A request still
+  /// *queued* when its deadline passes is shed with SolveStatus::kRejected
+  /// and never executes.  A request already running is never aborted
+  /// (solves are short; aborting mid-iteration would forfeit the paper's
+  /// convergence guarantees).
   double deadline_seconds = 0.0;
 };
 
